@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import asymptotics, simulate as simkernel, tailstats
-from .errors import TreetailError
+from .errors import DomainError, TreetailError
 from .harness import load_config, run_scenario, write_report
 from .pools import KIND_R_PARTIAL, KIND_W, export_csv, load_pool, save_pool
 from .streams import StreamTree, TAG_BOOTSTRAP
@@ -89,11 +89,15 @@ def simulate(ctx, config_path, out, kind, depth, csv_path):
     """Evolve a pool to the configured depth and save it."""
     config = _load(ctx, config_path)
     depth = config.depth if depth is None else depth
+    if depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
     threads = ctx.obj["threads"] or config.replicas
     streams = StreamTree(config.seed)
     if kind == "rstar":
         pool = simkernel.constant_pool(config.law, config.pool_size, 0.0)
-        pool = simkernel.iterate_fixed_point(config.law, pool, depth, streams, threads)[-1]
+        # one step at a time, so that only the last pool of the trajectory is kept
+        for _ in range(depth):
+            pool = simkernel.iterate_fixed_point(config.law, pool, 1, streams, threads)[-1]
     else:
         pool_kind = KIND_W if kind == "w" else KIND_R_PARTIAL
         pool = simkernel.init_pool(config.law, config.pool_size, streams, kind=pool_kind, threads=threads)

@@ -19,6 +19,14 @@ atomic laws shrinks far more slowly. ``ks_cross[k]`` compares step k of the
 chain from 0 with the horizon pool R^(k-1), which has the same law, because
 step 1 is Q.
 
+Order of work in a tree scenario: the Z_N denominator, then the W pools,
+then the horizon loop R^(1), ..., R^(depth). The two fixed-point chains run
+in lockstep with the first KS_STEPS iterations of that loop: iteration k
+steps each chain once and takes ``ks_series[k]``, ``ks_cross[k]`` and
+``coupled_gap[k]`` before R^(k-1) is evolved, so each chain holds one pool
+at a time and both are dropped after step KS_STEPS. Streams are keyed by
+(purpose, generation, block), so this order changes no sampled value.
+
 Determinism: a report is a pure function of (config, seed). ``replicas`` is
 a worker-count hint; every pool is partitioned into fixed blocks with their
 own derived streams, so any replica/thread count yields identical bytes.
@@ -406,23 +414,6 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> Verificat
 
     zn = _blockwise(size, lambda block, m: sample_zn_many(law, m, streams.child(TAG_ZN, 0, block)))
 
-    # coupled fixed-point chains from two initial conditions; the chains share
-    # every stream, so their KS distance isolates the initial-value transient
-    ks_series = ks_cross = coupled_gap = None
-    chain0 = None
-    if config.depth >= KS_STEPS:
-        chain0 = simulate.iterate_fixed_point(
-            law, simulate.constant_pool(law, size, 0.0), KS_STEPS, streams, threads)
-        ks_series, ks_cross, coupled_gap = {}, {}, []
-        current = simulate.constant_pool(law, size, KS_START)
-        var_gap = 0.0
-        for k in range(1, KS_STEPS + 1):
-            current = simulate.iterate_fixed_point(law, current, 1, streams, threads)[-1]
-            ks_series[k] = tailstats.ks_distance(chain0[k].values, current.values)
-            coupled_gap.append(_gap_check(k, current.values - chain0[k].values, var_gap, regime.rho))
-            var_gap = coupled_gap[-1].stderr ** 2
-        coupled_gap = tuple(coupled_gap)
-
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}
 
@@ -444,12 +435,29 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> Verificat
             except EmptyGrid:
                 pass
 
+    # coupled fixed-point chains from two initial conditions, stepped in
+    # lockstep with the horizon loop; they share every stream, so their KS
+    # distance isolates the initial-value transient
+    ks_series = ks_cross = coupled_gap = chain0 = chain_hi = None
+    if config.depth >= KS_STEPS:
+        ks_series, ks_cross, coupled_gap, var_gap = {}, {}, [], 0.0
+        chain0 = simulate.constant_pool(law, size, 0.0)
+        chain_hi = simulate.constant_pool(law, size, KS_START)
+
     r_pool = simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL, threads=threads)
     var_r = float(r_pool.values.var(ddof=1)) / size
     for n in range(1, config.depth + 1):
-        if chain0 is not None and n <= KS_STEPS:
+        if chain0 is not None:
+            chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams, threads)[-1]
+            chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams, threads)[-1]
+            ks_series[n] = tailstats.ks_distance(chain0.values, chain_hi.values)
             # r_pool is R^(n-1) here: step 1 of the chain from 0 is Q = R^(0)
-            ks_cross[n] = tailstats.ks_distance(chain0[n].values, r_pool.values)
+            ks_cross[n] = tailstats.ks_distance(chain0.values, r_pool.values)
+            coupled_gap.append(_gap_check(n, chain_hi.values - chain0.values, var_gap, regime.rho))
+            var_gap = coupled_gap[-1].stderr ** 2
+            if n == KS_STEPS:
+                chain0 = chain_hi = None
+                coupled_gap = tuple(coupled_gap)
         r_pool = simulate.evolve_pool_r(law, r_pool, streams, threads)
         if n <= MEAN_CHECK_MAX_N:
             check = _mean_check("R", n, asymptotics.mean_r_partial(law, n), r_pool.values,

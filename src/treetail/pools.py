@@ -12,6 +12,7 @@ values.  CSV export is one ``value`` column.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -71,6 +72,13 @@ class SamplePool:
 
 
 def save_pool(pool: SamplePool, path: str | Path) -> None:
+    """Write the pool to ``path``, atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; a write that fails partway leaves any existing file
+    at ``path`` as it was and removes the temporary file.
+    """
+    path = Path(path)
     meta = {
         "kind": pool.kind,
         "generation": pool.generation,
@@ -79,13 +87,25 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
         "count": len(pool),
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(pool.values.astype("<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(pool.values.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_pool(path: str | Path) -> SamplePool:
+    """Read a pool file; any malformed header, metadata or payload raises PoolFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -97,24 +117,38 @@ def load_pool(path: str | Path) -> SamplePool:
             raise PoolFormatError(f"{path}: unsupported pool version {version}")
         try:
             meta = json.loads(fh.read(meta_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise PoolFormatError(f"{path}: corrupt metadata block") from exc
         payload = fh.read()
+    if not isinstance(meta, dict):
+        raise PoolFormatError(f"{path}: metadata is not a JSON object")
     count = meta.get("count")
     if len(payload) % 8:
         raise PoolFormatError(f"{path}: value payload is truncated")
     values = np.frombuffer(payload, dtype="<f8")
-    if count is None or values.size != count:
-        raise PoolFormatError(f"{path}: expected {count} values, found {values.size}")
+    if not _is_int(count) or values.size != count:
+        raise PoolFormatError(f"{path}: expected {count!r} values, found {values.size}")
+    generation = meta.get("generation")
+    if not _is_int(generation):
+        raise PoolFormatError(f"{path}: generation must be an integer, got {generation!r}")
+    fingerprint = meta.get("law_fingerprint")
+    if not isinstance(fingerprint, str):
+        raise PoolFormatError(f"{path}: law_fingerprint must be a string, got {fingerprint!r}")
+    lineage = meta.get("seed_lineage", [])
+    if not isinstance(lineage, list) or not all(isinstance(part, str) for part in lineage):
+        raise PoolFormatError(f"{path}: seed_lineage must be a list of strings")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return SamplePool(
-            values=values.copy(),
-            kind=meta["kind"],
-            generation=int(meta["generation"]),
-            law_fingerprint=meta["law_fingerprint"],
-            seed_lineage=tuple(meta.get("seed_lineage", ())),
-        )
+        try:
+            return SamplePool(
+                values=values.copy(),
+                kind=meta.get("kind"),
+                generation=generation,
+                law_fingerprint=fingerprint,
+                seed_lineage=tuple(lineage),
+            )
+        except ValueError as exc:  # unknown kind, negative generation, empty or non-finite values
+            raise PoolFormatError(f"{path}: {exc}") from exc
 
 
 def export_csv(pool: SamplePool, path: str | Path) -> None:

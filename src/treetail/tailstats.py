@@ -337,13 +337,36 @@ def bootstrap_band(statistic, a, b, B: int = 1000, level: float = 0.95,
 # ---------------------------------------------------------------------------
 
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance by merge-scan of sorted samples."""
-    sa = np.sort(_as_samples(a, "a"))
-    sb = np.sort(_as_samples(b, "b"))
-    grid = np.concatenate([sa, sb])
-    cdf_a = np.searchsorted(sa, grid, side="right") / sa.size
-    cdf_b = np.searchsorted(sb, grid, side="right") / sb.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    """Two-sample Kolmogorov-Smirnov distance by merge-scan of sorted samples.
+
+    Both samples are sorted, then merged by a stable argsort of their
+    concatenation, which timsort does in linear time because the input is
+    two sorted runs. Running counts of each sample along the merge, read at
+    the last member of each run of equal values, are the two empirical
+    CDFs at that value (the ``side="right"`` convention), so ties never
+    split a step. NaNs sort last and count as one value.
+    """
+    a = _as_samples(a, "a")
+    b = _as_samples(b, "b")
+    # each (size a + size b) temporary is dropped as soon as it is spent,
+    # which halves the peak memory and saves time on 1M-sample pools
+    values = np.concatenate([np.sort(a), np.sort(b)])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    last = np.empty(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=last[:-1])
+    last[-1] = True
+    if np.isnan(values[-1]):
+        last[:-1] &= ~np.isnan(values[:-1])
+    del values
+    count_a = np.cumsum(order < a.size)[last]
+    del order
+    count_b = np.flatnonzero(last)
+    count_b += 1
+    count_b -= count_a
+    gap = count_a / a.size
+    gap -= count_b / b.size
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def ks_critical_value(n: int, m: int, level: float = 0.01) -> float:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from treetail import simulate
 from treetail.cli import cli
+from treetail.harness import load_config
 from treetail.pools import (
     KIND_R_PARTIAL,
     KIND_R_STAR,
@@ -16,6 +18,7 @@ from treetail.pools import (
     load_pool,
     save_pool,
 )
+from treetail.streams import StreamTree
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -116,6 +119,28 @@ def test_simulate_writes_a_loadable_pool(runner, config_path, tmp_path, kind, ex
     assert pool.values.size == 5_000
 
 
+def test_simulate_rstar_is_the_last_iterate(runner, config_path, tmp_path):
+    out = tmp_path / "rstar.pool"
+    result = runner.invoke(cli, ["simulate", config_path, "--out", str(out), "--kind", "rstar"])
+    assert result.exit_code == 0, result.output
+    config = load_config(config_path)
+    start = simulate.constant_pool(config.law, config.pool_size, 0.0)
+    last = simulate.iterate_fixed_point(config.law, start, config.depth, StreamTree(config.seed))[-1]
+    expected = tmp_path / "expected.pool"
+    save_pool(last, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["w", "r", "rstar"])
+def test_simulate_rejects_a_negative_depth(runner, config_path, tmp_path, kind):
+    out = tmp_path / "neg.pool"
+    result = runner.invoke(cli, ["simulate", config_path, "--out", str(out), "--kind", kind,
+                                 "--depth", "-1"])
+    assert result.exit_code == 1
+    assert "depth must be >= 0" in result.stderr
+    assert not out.exists()
+
+
 def test_simulate_depth_override_and_csv_export(runner, config_path, tmp_path):
     out = tmp_path / "w.pool"
     csv = tmp_path / "w.csv"
@@ -153,6 +178,18 @@ def test_ks_of_a_pool_with_itself_is_zero(runner, tmp_path):
     result = runner.invoke(cli, ["ks", str(path), str(path)])
     assert result.exit_code == 0, result.output
     assert result.output.strip() == "0.0"
+
+
+def test_ks_reports_malformed_pool_metadata_as_an_error(runner, tmp_path):
+    good = tmp_path / "good.pool"
+    save_pool(pareto_pool(1), good)
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.pool"
+    bad.write_bytes(raw.replace(b'"kind": "R_PARTIAL"', b'"kinb": "R_PARTIAL"'))
+    result = runner.invoke(cli, ["ks", str(good), str(bad)])
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert "kind" in result.stderr
 
 
 def test_tail_command_writes_curve_files(runner, tmp_path):

@@ -14,7 +14,10 @@ from treetail import (
     run_scenario,
     write_report,
 )
-from treetail.harness import _mean_check
+from treetail import simulate
+from treetail.harness import KS_START, KS_STEPS, _gap_check, _mean_check
+from treetail.pools import KIND_R_PARTIAL
+from treetail.streams import StreamTree
 from treetail.errors import ConfigError, RegimeMismatch
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
@@ -201,6 +204,27 @@ def test_ks_cross_pairs_iterate_step_k_with_horizon_k_minus_1():
     # the coupled chains differ by 100 W_k >= 0
     assert [g.step for g in rep.coupled_gap] == list(range(1, 16))
     assert all(g.smallest >= 0.0 for g in rep.coupled_gap)
+
+
+def test_lockstep_chains_match_full_trajectories(ks_reference):
+    config = ScenarioConfig.from_json(tiny_doc(depth=KS_STEPS))
+    rep = run_scenario(config, threads=1)
+    law, size, streams = config.law, config.pool_size, StreamTree(config.seed)
+    low = simulate.iterate_fixed_point(
+        law, simulate.constant_pool(law, size, 0.0), KS_STEPS, streams)
+    high = simulate.iterate_fixed_point(
+        law, simulate.constant_pool(law, size, KS_START), KS_STEPS, streams)
+    horizons = [simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL)]
+    while len(horizons) < KS_STEPS:
+        horizons.append(simulate.evolve_pool_r(law, horizons[-1], streams))
+    steps = range(1, KS_STEPS + 1)
+    assert rep.ks_series == {k: ks_reference(low[k].values, high[k].values) for k in steps}
+    assert rep.ks_cross == {k: ks_reference(low[k].values, horizons[k - 1].values) for k in steps}
+    gaps, var_gap = [], 0.0
+    for k in steps:
+        gaps.append(_gap_check(k, high[k].values - low[k].values, var_gap, rep.regime.rho))
+        var_gap = gaps[-1].stderr ** 2
+    assert rep.coupled_gap == tuple(gaps)
 
 
 def test_write_report_files(tiny_report, tmp_path):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetail import (
     KIND_R_PARTIAL,
@@ -10,7 +14,8 @@ from treetail import (
     load_pool,
     save_pool,
 )
-from treetail.errors import PoolFormatError
+from treetail.errors import PoolFormatError, TreetailError
+from treetail.pools import _HEADER, _MAGIC, _VERSION
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -88,6 +93,122 @@ def test_load_rejects_truncated_values(tmp_path):
     path.write_bytes(raw[:-9])
     with pytest.raises(PoolFormatError):
         load_pool(path)
+
+
+def _pool_bytes(meta_block: bytes, values=(1.0, 2.0, 3.0)) -> bytes:
+    header = _HEADER.pack(_MAGIC, _VERSION, len(meta_block))
+    return header + meta_block + np.asarray(values, dtype="<f8").tobytes()
+
+
+_DROP = object()
+
+
+def _meta(**overrides) -> bytes:
+    meta = {"kind": KIND_W, "generation": 3, "law_fingerprint": "ab" * 8,
+            "seed_lineage": ["seed=1"], "count": 3}
+    meta.update(overrides)
+    return json.dumps({k: v for k, v in meta.items() if v is not _DROP}).encode()
+
+
+@pytest.mark.parametrize("meta_block,match", [
+    (_meta(kind=_DROP), "kind"),
+    (_meta(kind="Z"), "kind"),
+    (_meta(generation=_DROP), "generation"),
+    (_meta(generation="three"), "generation"),
+    (_meta(generation=2.5), "generation"),
+    (_meta(generation=-1), "generation"),
+    (_meta(law_fingerprint=_DROP), "law_fingerprint"),
+    (_meta(seed_lineage="seed=1"), "seed_lineage"),
+    (_meta(count="3"), "expected"),
+    (b"[1, 2, 3]", "JSON object"),
+], ids=["no-kind", "unknown-kind", "no-generation", "text-generation", "float-generation",
+        "negative-generation", "no-fingerprint", "text-lineage", "text-count", "not-an-object"])
+def test_load_rejects_malformed_metadata(tmp_path, meta_block, match):
+    path = tmp_path / "pool.bin"
+    path.write_bytes(_pool_bytes(meta_block))
+    with pytest.raises(PoolFormatError, match=match):
+        load_pool(path)
+
+
+def test_load_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "pool.bin"
+    path.write_bytes(_pool_bytes(_meta(), values=(1.0, np.nan, 3.0)))
+    with pytest.raises(PoolFormatError, match="finite"):
+        load_pool(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _pool_files(draw):
+    """A pool file whose metadata is valid with fields dropped or replaced, or raw bytes."""
+    values = draw(st.lists(st.floats(), max_size=4))
+    if draw(st.booleans()):
+        return _pool_bytes(draw(st.binary(max_size=64)), values), len(values)
+    meta = {
+        "kind": draw(st.sampled_from([KIND_W, KIND_R_PARTIAL, KIND_R_STAR])),
+        "generation": draw(st.integers(0, 40)),
+        "law_fingerprint": draw(st.text(max_size=16)),
+        "seed_lineage": draw(st.lists(st.text(max_size=8), max_size=3)),
+        "count": len(values),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(meta)))):
+        if draw(st.booleans()):
+            del meta[name]
+        else:
+            meta[name] = draw(_JSON)
+    meta.update(draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=2)))
+    return _pool_bytes(json.dumps(meta).encode(), values), len(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_file=_pool_files())
+def test_load_fuzzed_metadata_raises_only_treetail_errors(tmp_path_factory, pool_file):
+    raw, count = pool_file
+    path = tmp_path_factory.mktemp("fuzz") / "pool.bin"
+    path.write_bytes(raw)
+    try:
+        pool = load_pool(path)
+    except TreetailError:
+        return
+    assert isinstance(pool, SamplePool)
+    assert pool.values.size == count
+
+
+def test_save_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "pool.bin"
+    save_pool(make_pool(generation=1), path)
+    save_pool(make_pool(generation=2), path)
+    assert load_pool(path).generation == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.bin"]
+
+
+class _ValuesThatFailMidWrite:
+    def astype(self, dtype):
+        raise OSError("disk full")
+
+
+class _PoolThatFailsMidWrite:
+    kind, generation, law_fingerprint, seed_lineage = KIND_W, 4, "ab" * 8, ()
+    values = _ValuesThatFailMidWrite()
+
+    def __len__(self):
+        return 32
+
+
+def test_save_that_fails_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "pool.bin"
+    save_pool(make_pool(), path)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        save_pool(_PoolThatFailsMidWrite(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.bin"]
 
 
 def test_export_csv(tmp_path):

@@ -114,6 +114,55 @@ def test_ks_distance_with_heavy_ties():
     assert ks_distance(a, c) == pytest.approx(expected, abs=1e-12)
 
 
+_TIED = st.sampled_from([-3.0, -0.5, -0.0, 0.0, 1.0, 2.0, 2.0 + 2.0 ** -50])
+_ANY = st.floats(min_value=-1e300, max_value=1e300)
+_ORDERS = st.sampled_from(["as drawn", "sorted", "reversed"])
+
+
+def _arrange(values, order):
+    arr = np.asarray(values, dtype=float)
+    if order == "sorted":
+        return np.sort(arr)
+    if order == "reversed":
+        return np.sort(arr)[::-1]
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.one_of(_TIED, _ANY), min_size=1, max_size=80),
+    b=st.lists(st.one_of(_TIED, _ANY), min_size=1, max_size=80),
+    order_a=_ORDERS,
+    order_b=_ORDERS,
+)
+def test_ks_distance_equals_the_searchsorted_reference(ks_reference, a, b, order_a, order_b):
+    a, b = _arrange(a, order_a), _arrange(b, order_b)
+    assert ks_distance(a, b) == ks_reference(a, b)
+    assert ks_distance(b, a) == ks_reference(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(_TIED, min_size=1, max_size=200),
+    b=st.lists(_TIED, min_size=1, max_size=3),
+    order=_ORDERS,
+)
+def test_ks_distance_equals_the_reference_on_heavy_ties(ks_reference, a, b, order):
+    # few distinct values, sample sizes down to one and far apart
+    a, b = _arrange(a, order), np.asarray(b, dtype=float)
+    assert ks_distance(a, b) == ks_reference(a, b)
+    assert ks_distance(b, a) == ks_reference(b, a)
+
+
+def test_ks_distance_equals_the_reference_with_nans_and_infinities(ks_reference):
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+    rng = RNG(9)
+    for _ in range(200):
+        a = rng.choice(values, rng.integers(1, 8))
+        b = rng.choice(values, rng.integers(1, 8))
+        assert ks_distance(a, b) == ks_reference(a, b)
+
+
 def test_ks_critical_value():
     # sqrt(-log(level/2)/2) * sqrt((n+m)/(n m))
     got = ks_critical_value(100, 100, level=0.01)
