@@ -17,7 +17,6 @@ from .asymptotics import (
     mean_r_partial,
     mean_w,
     moment_bound_w,
-    predicted_decay_rate,
     sum_constant_q,
     sum_constant_zn,
 )
@@ -33,13 +32,10 @@ from .branching import (
     InverseN,
     PageRankLike,
     RegimeReport,
-    RootSample,
     law_from_json,
-    rho_beta_analytic,
     rho_beta_mc,
     sample_zn_many,
     validate_regime,
-    z_n,
 )
 from .distributions import (
     Constant,
@@ -89,8 +85,6 @@ from .simulate import (
 from .streams import StreamTree
 from .tailstats import (
     TailReport,
-    bootstrap_band,
-    empirical_ccdf,
     geometric_decay_fit,
     hill,
     hill_curve,

@@ -39,7 +39,6 @@ __all__ = [
     "sum_constant_q",
     "jessen_mikosch_zn_constant",
     "moment_bound_w",
-    "predicted_decay_rate",
     "mean_w",
     "mean_r_partial",
     "TheoryConstants",
@@ -164,20 +163,6 @@ def moment_bound_w(law: BranchingLaw, beta: float, n: int) -> float:
     if math.isinf(rho_beta):
         return math.inf
     return q_plus * rho_beta ** n
-
-
-def predicted_decay_rate(law: BranchingLaw, alpha: float) -> float:
-    """max(rho, rho_alpha): any eta above it bounds the W_n tail-ratio decay."""
-    if alpha <= 1:
-        raise DomainError("alpha must exceed 1")
-    rho = law.rho_beta(1.0)
-    rho_alpha = law.rho_beta(alpha)
-    if rho is None or rho_alpha is None:
-        raise DomainError("rho or rho_alpha not analytically available")
-    rate = max(rho, rho_alpha)
-    if math.isinf(rate) or rate >= 1:
-        raise DomainError("law is not subcritical: max(rho, rho_alpha) >= 1")
-    return rate
 
 
 def mean_w(law: BranchingLaw, n: int) -> float:

@@ -2,7 +2,7 @@
 
 A branching law describes one node of a weighted tree: an additive input Q,
 a child count N, and child weights C_1..C_N.  Four model families are
-provided; each knows how to draw root vectors (scalar and batched), evaluate
+provided; each knows how to draw root vectors in batches, evaluate
 its branching moments rho_beta = E[sum_i C_i^beta] analytically where closed
 forms exist, and classify which tail-asymptotic regime it falls in for a
 given index alpha.
@@ -22,7 +22,6 @@ from .distributions import Constant, Distribution, ZetaTail, dist_from_json
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "RootSample",
     "RootBatch",
     "BranchingLaw",
     "IndependentIID",
@@ -31,8 +30,6 @@ __all__ = [
     "InverseN",
     "RegimeReport",
     "law_from_json",
-    "z_n",
-    "rho_beta_analytic",
     "rho_beta_mc",
     "validate_regime",
     "ZN_DOMINATES",
@@ -52,18 +49,6 @@ _KESTEN_TOL = 1e-9
 _INDEX_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RootSample:
-    """One root vector: additive input q and the weight of each child."""
-
-    q: float
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-
 class RootBatch(NamedTuple):
     """Root vectors for many nodes, weights flattened in node order."""
 
@@ -80,7 +65,11 @@ def _check_n_dist(n_dist: Distribution):
 
 
 class BranchingLaw:
-    """Common behavior for the four root-vector model families."""
+    """Common behavior for the four root-vector model families.
+
+    Every family exposes ``q_dist``, the marginal law of the additive input
+    Q, and the Q-side facts that decide the tail regime are read from it.
+    """
 
     model: str = "base"
 
@@ -88,12 +77,8 @@ class BranchingLaw:
     def draw_roots(self, size: int, rng: np.random.Generator) -> RootBatch:
         raise NotImplementedError
 
-    def draw_root(self, rng: np.random.Generator) -> RootSample:
-        q, _, weights = self.draw_roots(1, rng)
-        return RootSample(q=float(q[0]), weights=weights.copy())
-
     def sample_q_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        return self.q_dist.sample_many(rng, size)
 
     # -- analytic moments -----------------------------------------------------
     def rho_beta(self, beta: float):
@@ -101,20 +86,27 @@ class BranchingLaw:
         raise NotImplementedError
 
     def mean_n(self):
-        raise NotImplementedError
+        return self.n_dist.moment(1)
 
     def q_mean(self):
-        raise NotImplementedError
+        return self.q_dist.mean()
 
     def q_plus_moment(self, beta: float):
-        """E[(Q^+)^beta], used by the geometric moment bound."""
-        raise NotImplementedError
+        """E[(Q^+)^beta] for the moment bound: closed form when Q >= 0, else quadrature."""
+        q_dist = self.q_dist
+        if q_dist.support_min() >= 0:
+            return q_dist.moment(beta)
+        if not q_dist.moment_is_finite(beta):
+            return math.inf
+        from scipy import integrate
+
+        value, _ = integrate.quad(
+            lambda x: beta * x ** (beta - 1.0) * float(q_dist.ccdf(x)), 0.0, np.inf, limit=200
+        )
+        return value
 
     def q_abs_moment_finite(self, beta: float) -> bool:
-        raise NotImplementedError
-
-    def q_nonneg(self) -> bool:
-        raise NotImplementedError
+        return self.q_dist.moment_is_finite(beta)
 
     def mean_c(self):
         """E[C_1] for models whose weights are i.i.d. and independent of N."""
@@ -122,10 +114,10 @@ class BranchingLaw:
 
     # -- tail structure -------------------------------------------------------
     def q_tail_index(self):
-        raise NotImplementedError
+        return self.q_dist.tail_index()
 
     def q_tail_scale(self):
-        raise NotImplementedError
+        return self.q_dist.tail_scale()
 
     def zn_tail_index(self):
         """Regular-variation index of Z_N = sum_i C_i, or None."""
@@ -178,9 +170,6 @@ class IndependentIID(BranchingLaw):
         weights = self.c_dist.sample_many(rng, int(n.sum()))
         return RootBatch(q, n, weights)
 
-    def sample_q_many(self, size, rng):
-        return self.q_dist.sample_many(rng, size)
-
     def rho_beta(self, beta):
         e_n = self.n_dist.moment(1)
         e_cb = self.c_dist.moment(beta)
@@ -192,29 +181,8 @@ class IndependentIID(BranchingLaw):
             return math.inf
         return e_n * e_cb
 
-    def mean_n(self):
-        return self.n_dist.moment(1)
-
-    def q_mean(self):
-        return self.q_dist.mean()
-
-    def q_plus_moment(self, beta):
-        return _q_plus_moment(self.q_dist, beta)
-
-    def q_abs_moment_finite(self, beta):
-        return self.q_dist.moment_is_finite(beta)
-
-    def q_nonneg(self):
-        return self.q_dist.support_min() >= 0
-
     def mean_c(self):
         return self.c_dist.mean()
-
-    def q_tail_index(self):
-        return self.q_dist.tail_index()
-
-    def q_tail_scale(self):
-        return self.q_dist.tail_scale()
 
     def zn_tail_index(self):
         n_idx = self.n_dist.tail_index()
@@ -272,9 +240,6 @@ class DeterministicWeight(BranchingLaw):
         weights = np.full(int(n.sum()), float(self.c))
         return RootBatch(q, n, weights)
 
-    def sample_q_many(self, size, rng):
-        return self.q_dist.sample_many(rng, size)
-
     def rho_beta(self, beta):
         if self.c == 0:
             return 0.0
@@ -285,29 +250,8 @@ class DeterministicWeight(BranchingLaw):
             return math.inf
         return self.c ** beta * e_n
 
-    def mean_n(self):
-        return self.n_dist.moment(1)
-
-    def q_mean(self):
-        return self.q_dist.mean()
-
-    def q_plus_moment(self, beta):
-        return _q_plus_moment(self.q_dist, beta)
-
-    def q_abs_moment_finite(self, beta):
-        return self.q_dist.moment_is_finite(beta)
-
-    def q_nonneg(self):
-        return self.q_dist.support_min() >= 0
-
     def mean_c(self):
         return float(self.c)
-
-    def q_tail_index(self):
-        return self.q_dist.tail_index()
-
-    def q_tail_scale(self):
-        return self.q_dist.tail_scale()
 
     def zn_tail_index(self):
         if self.c == 0:
@@ -343,14 +287,15 @@ class PageRankLike(BranchingLaw):
         if not self.out_dist.is_integer_valued() or self.out_dist.support_min() < 1:
             raise DomainError("out-degree law must be integer valued with support >= 1")
 
+    @property
+    def q_dist(self) -> Distribution:
+        return Constant(1 - self.d)
+
     def draw_roots(self, size, rng):
         q = np.full(size, 1.0 - self.d)
         n = _draw_counts(self.n_dist, size, rng)
         degrees = self.out_dist.sample_many(rng, int(n.sum()))
         return RootBatch(q, n, self.d / degrees)
-
-    def sample_q_many(self, size, rng):
-        return np.full(int(size), 1.0 - self.d)
 
     def rho_beta(self, beta):
         e_n = self.n_dist.moment(1)
@@ -363,32 +308,11 @@ class PageRankLike(BranchingLaw):
             return math.inf
         return self.d ** beta * e_n * e_d
 
-    def mean_n(self):
-        return self.n_dist.moment(1)
-
-    def q_mean(self):
-        return 1.0 - self.d
-
-    def q_plus_moment(self, beta):
-        return (1.0 - self.d) ** beta
-
-    def q_abs_moment_finite(self, beta):
-        return True
-
-    def q_nonneg(self):
-        return True
-
     def mean_c(self):
         e_inv = self.out_dist.moment(-1.0)
         if e_inv is None or math.isinf(e_inv):
             return None
         return self.d * e_inv
-
-    def q_tail_index(self):
-        return None
-
-    def q_tail_scale(self):
-        return None
 
     def zn_tail_index(self):
         # 1/D_i is bounded in (0, 1], so Z_N inherits N's power tail.
@@ -433,9 +357,6 @@ class InverseN(BranchingLaw):
         per_node = self.c / np.maximum(n, 1).astype(float) ** self.gamma
         return RootBatch(q, n, np.repeat(per_node, n))
 
-    def sample_q_many(self, size, rng):
-        return self.q_dist.sample_many(rng, size)
-
     def _n_restricted_moment(self, power: float):
         """E[N^power ; N >= 1], the factor in rho_beta for this model."""
         nd = self.n_dist
@@ -458,27 +379,6 @@ class InverseN(BranchingLaw):
         if math.isinf(m):
             return math.inf
         return self.c ** beta * m
-
-    def mean_n(self):
-        return self.n_dist.moment(1)
-
-    def q_mean(self):
-        return self.q_dist.mean()
-
-    def q_plus_moment(self, beta):
-        return _q_plus_moment(self.q_dist, beta)
-
-    def q_abs_moment_finite(self, beta):
-        return self.q_dist.moment_is_finite(beta)
-
-    def q_nonneg(self):
-        return self.q_dist.support_min() >= 0
-
-    def q_tail_index(self):
-        return self.q_dist.tail_index()
-
-    def q_tail_scale(self):
-        return self.q_dist.tail_scale()
 
     def zn_tail_index(self):
         # Z_N = c * N^(1-gamma) on {N >= 1}: a power tail only when gamma < 1.
@@ -507,41 +407,15 @@ class InverseN(BranchingLaw):
         }
 
 
-def _q_plus_moment(q_dist: Distribution, beta: float):
-    """E[(Q^+)^beta] via the closed form when Q >= 0, else CCDF quadrature."""
-    if q_dist.support_min() >= 0:
-        return q_dist.moment(beta)
-    if not q_dist.moment_is_finite(beta):
-        return math.inf
-    from scipy import integrate
-
-    value, _ = integrate.quad(
-        lambda x: beta * x ** (beta - 1.0) * float(q_dist.ccdf(x)), 0.0, np.inf, limit=200
-    )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def z_n(sample: RootSample) -> float:
-    """Total child weight Z_N = sum_i C_i of one root vector."""
-    return float(np.sum(sample.weights))
-
 
 def sample_zn_many(law: BranchingLaw, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws of Z_N under the law."""
     _, n, weights = law.draw_roots(size, rng)
     idx = np.repeat(np.arange(size), n)
     return np.bincount(idx, weights=weights, minlength=size)
-
-
-def rho_beta_analytic(law: BranchingLaw, beta: float):
-    """Closed-form rho_beta = E[sum_i C_i^beta]; None when unavailable."""
-    if beta <= 0:
-        raise DomainError("rho_beta is defined for beta > 0")
-    return law.rho_beta(beta)
 
 
 def rho_beta_mc(law: BranchingLaw, beta: float, draws: int, rng: np.random.Generator):
@@ -670,7 +544,7 @@ def law_from_json(doc: dict) -> BranchingLaw:
     if extra:
         raise ConfigError(f"unknown law fields: {sorted(extra)}")
     model = doc.get("model")
-    if model not in _MODELS:
+    if not isinstance(model, str) or model not in _MODELS:
         raise ConfigError(f"unknown branching model: {model!r}")
     cls, expected = _MODELS[model]
     params = doc.get("params", {})

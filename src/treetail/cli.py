@@ -38,7 +38,7 @@ def _guard(fn):
 
 @click.group()
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--threads", type=int, default=None, help="Worker threads for pool evolution.")
+@click.option("--threads", type=int, default=None, help="Worker threads for the block-parallel sampling.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True, help="Output format for printed results.")
 @click.pass_context

@@ -457,7 +457,7 @@ def dist_from_json(doc: dict) -> Distribution:
     if extra:
         raise ConfigError(f"unknown distribution fields: {sorted(extra)}")
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown distribution kind: {kind!r}")
     cls, expected = _KINDS[kind]
     params = doc.get("params", {})

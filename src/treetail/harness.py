@@ -28,8 +28,9 @@ at a time and both are dropped after step KS_STEPS. Streams are keyed by
 (purpose, generation, block), so this order changes no sampled value.
 
 Determinism: a report is a pure function of (config, seed). ``replicas`` is
-a worker-count hint; every pool is partitioned into fixed blocks with their
-own derived streams, so any replica/thread count yields identical bytes.
+a worker-count hint; every pool, the Z_N denominator and the one-shot sums
+are drawn in fixed blocks with their own derived streams by one scheduler,
+``simulate._run_blocks``, so any replica/thread count yields identical bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .branching import (
 from .distributions import Distribution, dist_from_json
 from .errors import ConfigError, DomainError, EmptyGrid, RegimeMismatch
 from .pools import KIND_R_PARTIAL, KIND_W
-from .streams import BLOCK, StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
+from .streams import StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
 from .tailstats import TailReport
 
 __all__ = [
@@ -123,7 +124,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ConfigError("scenario name must be a nonempty string")
-        if self.dominant not in _ALLOWED_REGIMES:
+        if not isinstance(self.dominant, str) or self.dominant not in _ALLOWED_REGIMES:
             raise ConfigError(f"dominant must be one of {sorted(_ALLOWED_REGIMES)}, got {self.dominant!r}")
         if not self.alpha > 1.0:
             raise ConfigError("alpha must exceed 1")
@@ -176,8 +177,8 @@ class ScenarioConfig:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {doc['schema_version']!r}")
         grid = doc["quantile_grid"]
-        if not isinstance(grid, list):
-            raise ConfigError("quantile_grid must be a list")
+        if not isinstance(grid, list) or not all(map(_is_number, grid)):
+            raise ConfigError("quantile_grid must be a list of numbers")
         x_doc = doc.get("x_dist")
         return cls(
             name=doc["name"],
@@ -194,9 +195,13 @@ class ScenarioConfig:
         )
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(doc, key) -> float:
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{key} must be a number, got {v!r}")
     return float(v)
 
@@ -341,6 +346,20 @@ def write_report(report: VerificationReport, outdir) -> Path:
 # the pipeline
 # ---------------------------------------------------------------------------
 
+class _Sampled(NamedTuple):
+    """What a tree or sum scenario measured; ``run_scenario`` builds the report."""
+
+    values: np.ndarray  # the sample whose Hill index is pinned
+    tail: TailReport
+    target: float
+    mean_checks: list[MeanCheck]
+    verdicts: dict[str, bool]  # verdicts beyond tail_band, hill_index, mean_identities
+    decay: DecayCheck | None = None
+    ks_series: dict[int, float] | None = None
+    ks_cross: dict[int, float] | None = None
+    coupled_gap: tuple[CoupledGap, ...] | None = None
+
+
 def run_scenario(config: ScenarioConfig, threads: int | None = None) -> VerificationReport:
     """Run the full verification pipeline for one scenario."""
     threads = config.replicas if threads is None else threads
@@ -363,16 +382,35 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
         config.law, config.alpha, n_max=max(30, min(config.depth, 200)), regime_report=regime,
     )
     streams = StreamTree(config.seed)
-    if config.dominant == DOMINANT_SUM:
-        return _run_sum_scenario(config, regime, constants, streams)
-    return _run_tree_scenario(config, regime, constants, streams, threads)
+    run = _run_sum_scenario if config.dominant == DOMINANT_SUM else _run_tree_scenario
+    sampled = run(config, regime, constants, streams, threads)
 
-
-def _blockwise(size: int, draw) -> np.ndarray:
-    parts = []
-    for block, lo in enumerate(range(0, size, BLOCK)):
-        parts.append(draw(block, min(BLOCK, size - lo)))
-    return np.concatenate(parts)
+    hill_k, hill_est, hill_ok = _hill_pin(sampled.values, config.alpha)
+    summary = dict(sampled.tail.hill_curve)
+    summary[hill_k] = hill_est
+    verdicts = {
+        "tail_band": _band_verdict(sampled.tail, sampled.target),
+        "hill_index": hill_ok,
+        "mean_identities": bool(all(c.ok for c in sampled.mean_checks)),
+        **sampled.verdicts,
+    }
+    return VerificationReport(
+        scenario=config,
+        regime=regime,
+        constants=constants,
+        tail=sampled.tail,
+        tail_trend=sampled.tail.trend,
+        tail_target=sampled.target,
+        hill_k=hill_k,
+        hill_estimate=hill_est,
+        hill_summary=tuple(sorted(summary.items())),
+        mean_checks=tuple(sampled.mean_checks),
+        decay=sampled.decay,
+        ks_series=sampled.ks_series,
+        ks_cross=sampled.ks_cross,
+        coupled_gap=sampled.coupled_gap,
+        verdicts=verdicts,
+    )
 
 
 def _mean_check(kind: str, n: int, predicted: float, values: np.ndarray,
@@ -409,10 +447,12 @@ def _band_verdict(tail: TailReport, target: float) -> bool:
     return hits >= math.ceil(len(tail.quantile_grid) / 2)
 
 
-def _run_tree_scenario(config, regime, constants, streams, threads) -> VerificationReport:
+def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
     law, size = config.law, config.pool_size
 
-    zn = _blockwise(size, lambda block, m: sample_zn_many(law, m, streams.child(TAG_ZN, 0, block)))
+    zn = simulate._run_blocks(
+        lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
+        size, threads)
 
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}
@@ -471,13 +511,9 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> Verificat
             r_pool.values, zn, config.quantile_grid,
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
     else:
-        q_dist = getattr(law, "q_dist", None)
-        if q_dist is None:
-            raise RegimeMismatch("the law does not expose a marginal distribution for its additive input")
         tail = tailstats.tail_ratio_analytic(
-            r_pool.values, q_dist.ccdf, q_dist.quantile, config.quantile_grid,
+            r_pool.values, law.q_dist.ccdf, law.q_dist.quantile, config.quantile_grid,
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
-    target = constants.h_limit
 
     decay = None
     if config.dominant == DOMINANT_ZN and config.depth >= DECAY_GENERATIONS[-1]:
@@ -491,15 +527,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> Verificat
             ok = bool(fitted_rate <= admissible and r2 >= DECAY_MIN_R2)
         decay = DecayCheck(decay_ratios, fitted_rate, r2, admissible, ok)
 
-    hill_k, hill_est, hill_ok = _hill_pin(r_pool.values, config.alpha)
-    summary = dict(tail.hill_curve)
-    summary[hill_k] = hill_est
-
-    verdicts = {
-        "tail_band": _band_verdict(tail, target),
-        "hill_index": hill_ok,
-        "mean_identities": bool(all(c.ok for c in mean_checks)),
-    }
+    verdicts = {}
     if decay is not None:
         verdicts["decay_bound"] = decay.ok
     if ks_series is not None:
@@ -512,27 +540,11 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> Verificat
             and ks_series[KS_STEPS] < KS_TOLERANCE
             and ks_cross[KS_STEPS] < KS_TOLERANCE
         )
-
-    return VerificationReport(
-        scenario=config,
-        regime=regime,
-        constants=constants,
-        tail=tail,
-        tail_trend=tail.trend,
-        tail_target=target,
-        hill_k=hill_k,
-        hill_estimate=hill_est,
-        hill_summary=tuple(sorted(summary.items())),
-        mean_checks=tuple(mean_checks),
-        decay=decay,
-        ks_series=ks_series,
-        ks_cross=ks_cross,
-        coupled_gap=coupled_gap,
-        verdicts=verdicts,
-    )
+    return _Sampled(r_pool.values, tail, constants.h_limit, mean_checks, verdicts,
+                    decay, ks_series, ks_cross, coupled_gap)
 
 
-def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
+def _run_sum_scenario(config, regime, constants, streams, threads) -> _Sampled:
     law, x_dist, alpha = config.law, config.x_dist, config.alpha
 
     x_index, x_scale = x_dist.tail_index(), x_dist.tail_scale()
@@ -554,10 +566,10 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
             raise RegimeMismatch("the law's additive-input tail does not match x_dist's index")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
 
-    sums = _blockwise(
-        config.pool_size,
-        lambda block, m: simulate.sample_weighted_sum(law, x_dist, streams.child(TAG_SUM, 0, block), size=m),
-    )
+    sums = simulate._run_blocks(
+        lambda block, lo, hi: simulate.sample_weighted_sum(
+            law, x_dist, streams.child(TAG_SUM, 0, block), size=hi - lo),
+        config.pool_size, threads)
 
     tail = tailstats.tail_ratio_analytic(
         sums, x_dist.ccdf, x_dist.quantile, config.quantile_grid,
@@ -565,31 +577,4 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
         trend_rng=streams.child(TAG_BOOTSTRAP, 2, 0))
 
     predicted_mean = regime.rho * e_x + law.q_mean()
-    mean_checks = (_mean_check("SUM", 0, predicted_mean, sums),)
-
-    hill_k, hill_est, hill_ok = _hill_pin(sums, alpha)
-    summary = dict(tail.hill_curve)
-    summary[hill_k] = hill_est
-
-    verdicts = {
-        "tail_band": _band_verdict(tail, target),
-        "hill_index": hill_ok,
-        "mean_identities": bool(all(c.ok for c in mean_checks)),
-    }
-    return VerificationReport(
-        scenario=config,
-        regime=regime,
-        constants=constants,
-        tail=tail,
-        tail_trend=tail.trend,
-        tail_target=target,
-        hill_k=hill_k,
-        hill_estimate=hill_est,
-        hill_summary=tuple(sorted(summary.items())),
-        mean_checks=mean_checks,
-        decay=None,
-        ks_series=None,
-        ks_cross=None,
-        coupled_gap=None,
-        verdicts=verdicts,
-    )
+    return _Sampled(sums, tail, target, [_mean_check("SUM", 0, predicted_mean, sums)], {})

@@ -138,6 +138,11 @@ def _block_ranges(size: int):
 
 
 def _run_blocks(worker, size: int, threads: int) -> np.ndarray:
+    """Concatenate ``worker(block, lo, hi)`` over the fixed blocks of ``size``.
+
+    The one block scheduler of the package: each worker derives its stream
+    from its block index, so the thread count never changes a value.
+    """
     ranges = _block_ranges(size)
     if threads <= 1 or len(ranges) == 1:
         parts = [worker(b, lo, hi) for b, (lo, hi) in enumerate(ranges)]

@@ -1,7 +1,7 @@
 """Empirical tail machinery.
 
-Everything here is estimator-side: empirical CCDFs, the Hill index, tail
-ratio curves anchored at denominator quantiles, percentile bootstrap bands,
+Everything here is estimator-side: the Hill index, ratios of empirical
+CCDFs anchored at denominator quantiles with percentile bootstrap bands,
 two-sample Kolmogorov-Smirnov distance, and a least-squares geometric decay
 fit. All functions are pure; randomness only enters through an explicit
 generator passed to the bootstrap.
@@ -23,12 +23,10 @@ from .errors import DegenerateTail, DomainError, EmptyGrid, NonPositive
 
 __all__ = [
     "TailReport",
-    "empirical_ccdf",
     "hill",
     "hill_curve",
     "tail_ratio",
     "tail_ratio_analytic",
-    "bootstrap_band",
     "ks_distance",
     "ks_critical_value",
     "geometric_decay_fit",
@@ -40,14 +38,6 @@ def _as_samples(x, name: str) -> np.ndarray:
     if arr.size == 0:
         raise DomainError(f"{name} must be nonempty")
     return arr
-
-
-def empirical_ccdf(samples, x):
-    """Fraction of samples strictly above x; vectorized in x."""
-    arr = np.sort(_as_samples(samples, "samples"))
-    xs = np.asarray(x, dtype=float)
-    out = 1.0 - np.searchsorted(arr, xs, side="right") / arr.size
-    return float(out) if np.isscalar(x) else out
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +54,8 @@ def hill(samples, k: int) -> float:
     pos = arr[arr > 0]
     if not 2 <= k < pos.size:
         raise DomainError(f"need 2 <= k < number of positive samples ({pos.size}), got k={k}")
-    top = np.partition(pos, pos.size - (k + 1))[-(k + 1):]
-    top = np.sort(top)[::-1]
+    pos.partition(pos.size - (k + 1))  # pos is a fresh copy: partition it in place
+    top = np.sort(pos[-(k + 1):])[::-1]
     ref = top[k]
     if top[0] == ref:
         raise DegenerateTail("top k+1 order statistics are tied; Hill denominator is zero")
@@ -75,13 +65,19 @@ def hill(samples, k: int) -> float:
 def hill_curve(samples, points: int = 9) -> dict[int, float]:
     """Hill estimates over a geometric sweep of k in [n/200, n/10]."""
     arr = _as_samples(samples, "samples")
-    n_pos = int(np.count_nonzero(arr > 0))
+    pos = arr[arr > 0]
+    n_pos = pos.size
     if n_pos < 3:
         raise DomainError("need at least 3 positive samples for a Hill curve")
     lo = max(2, n_pos // 200)
     hi = max(lo, min(n_pos - 1, n_pos // 10))
     ks = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
-    return {int(k): hill(arr, int(k)) for k in ks}
+    # every k reads only the top hi + 1 values: partition them out once, in
+    # place, and keep a copy of just those so the full-size array is freed
+    pos.partition(n_pos - (hi + 1))
+    top = pos[-(hi + 1):].copy()
+    del pos
+    return {int(k): hill(top, int(k)) for k in ks}
 
 
 # ---------------------------------------------------------------------------
@@ -305,31 +301,6 @@ def tail_ratio_analytic(
     num = np.sort(_as_samples(num_samples, "num_samples"))
     return _tail_report(num, (den_ccdf, den_quantile), quantile_grid, min_exceedances,
                         bootstrap_b, level, rng, with_hill, trend_rng)
-
-
-def bootstrap_band(statistic, a, b, B: int = 1000, level: float = 0.95,
-                   rng: np.random.Generator | None = None):
-    """Percentile bootstrap band for statistic(a, b) under independent resampling.
-
-    ``statistic`` may return a scalar or a fixed-shape array; the band is
-    computed percentile-wise along the resample axis.
-    """
-    if B < 200:
-        raise DomainError("bootstrap B must be >= 200")
-    a = _as_samples(a, "a")
-    b = _as_samples(b, "b")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    lo_q, hi_q = _band_levels(level)
-    stats = [
-        statistic(a[rng.integers(0, a.size, a.size)], b[rng.integers(0, b.size, b.size)])
-        for _ in range(B)
-    ]
-    arr = np.asarray(stats, dtype=float)
-    low = np.percentile(arr, lo_q, axis=0)
-    high = np.percentile(arr, hi_q, axis=0)
-    if arr.ndim == 1:
-        return float(low), float(high)
-    return low, high
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from treetail import (
     mean_r_partial,
     mean_w,
     moment_bound_w,
-    predicted_decay_rate,
     sum_constant_q,
     sum_constant_zn,
 )
@@ -156,14 +155,6 @@ def test_moment_bound_w():
         moment_bound_w(law, 0.5, -1)
 
 
-def test_predicted_decay_rate():
-    assert predicted_decay_rate(zn_law(), 2.0) == pytest.approx(0.4, abs=1e-14)
-    assert predicted_decay_rate(q_law(), 2.5) == pytest.approx(0.6, rel=1e-14)
-    supercritical = IndependentIID(Exponential(1.0), Constant(3.0), Uniform(0.0, 0.9))
-    with pytest.raises(DomainError):
-        predicted_decay_rate(supercritical, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # compute_constants end to end
 # ---------------------------------------------------------------------------
@@ -186,9 +177,15 @@ def test_compute_constants_q():
     assert tc.regime == Q_DOMINATES
     assert tc.h_limit == pytest.approx(1.0 / (1.0 - Q_RHO_A), rel=1e-14)
     assert tc.h_n_table[8] == pytest.approx(h_n_q(Q_RHO_A, 8), rel=1e-14)
+    # eta = (1 + max(rho, rho_alpha)) / 2 with rho = 0.6 > rho_alpha
+    assert tc.eta == pytest.approx(0.8, rel=1e-14)
 
 
 def test_compute_constants_refuses_light_regimes():
     light = IndependentIID(Exponential(1.0), Constant(2.0), Uniform(0.0, 0.5))
     with pytest.raises(DomainError):
         compute_constants(light, 2.0)
+    # rho = 3 * 0.45 >= 1: no geometric decay rate exists
+    supercritical = IndependentIID(Exponential(1.0), Constant(3.0), Uniform(0.0, 0.9))
+    with pytest.raises(DomainError, match="rho >= 1"):
+        compute_constants(supercritical, 2.0)

@@ -27,7 +27,6 @@ from treetail.branching import (
     INVALID,
     ZN_DOMINATES,
     rho_beta_mc,
-    z_n,
 )
 from treetail.errors import ConfigError, DomainError, ModelMismatch
 
@@ -65,7 +64,15 @@ def test_rho_beta_pagerank_like():
     # d^beta E[N] E[D^-beta]; E[1/D] = zeta(3) + zeta(2) - 2 by telescoping
     expected = 0.5 * 2.0 * (zeta(3, 1) + zeta(2, 1) - 2.0)
     assert law.rho_beta(1.0) == pytest.approx(expected, rel=1e-12)
+    # Q = 1 - d is a constant: every Q-side answer is a closed form
+    assert law.q_dist == Constant(0.5)
     assert law.q_mean() == 0.5
+    assert law.q_plus_moment(0.7) == pytest.approx(0.5 ** 0.7, rel=1e-15)
+    assert law.q_abs_moment_finite(50.0)
+    assert law.q_tail_index() is None and law.q_tail_scale() is None
+    np.testing.assert_array_equal(law.sample_q_many(4, RNG()), np.full(4, 0.5))
+    q, _, _ = law.draw_roots(4, RNG())
+    np.testing.assert_array_equal(q, np.full(4, 0.5))
 
 
 def test_rho_beta_inverse_n():
@@ -104,8 +111,9 @@ def test_zn_of_deterministic_weight_sits_on_a_lattice():
     samples = sample_zn_many(law, 2_000, RNG())
     ks = samples / 0.2
     np.testing.assert_allclose(ks, np.round(ks), atol=1e-9)
-    root = law.draw_root(RNG())
-    assert z_n(root) == pytest.approx(0.2 * root.weights.size, rel=1e-12)
+    # the same stream gives the same counts: Z_N is exactly c N
+    _, n, _ = law.draw_roots(2_000, RNG())
+    np.testing.assert_allclose(samples, 0.2 * n, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +242,8 @@ def test_law_from_json_rejects_malformed_documents():
     good = zn_baseline_law().to_json()
     with pytest.raises(ConfigError):
         law_from_json({**good, "model": "galton_watson"})
+    with pytest.raises(ConfigError):
+        law_from_json({**good, "model": []})
     with pytest.raises(ConfigError):
         law_from_json({**good, "surprise": 1})
     bad_params = dict(good["params"])

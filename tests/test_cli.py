@@ -272,6 +272,18 @@ def test_verify_refuses_critical_law(runner, tmp_path):
     assert "rho_alpha = 1 excluded" in result.stderr
 
 
+@pytest.mark.parametrize("overrides", [
+    {"quantile_grid": ["a"]},
+    {"dominant": []},
+    {"law": {"model": [], "params": {}}},
+], ids=["grid", "dominant", "model"])
+def test_verify_reports_wrongly_typed_config_fields_as_errors(runner, tmp_path, overrides):
+    config = write_config(tmp_path / "bad.json", **overrides)
+    result = runner.invoke(cli, ["verify", config, "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+
+
 def test_missing_config_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(cli, ["constants", str(tmp_path / "nope.json")])
     assert result.exit_code == 2

@@ -258,6 +258,8 @@ def test_from_json_rejects_malformed_documents():
         dist_from_json({"kind": "pareto", "params": {"alpha": 2.0, "x_min": 1.0}, "extra": 1})
     with pytest.raises(ConfigError):
         dist_from_json(["pareto"])
+    with pytest.raises(ConfigError):
+        dist_from_json({"kind": [], "params": {}})
     # domain violations surface as DomainError, not ConfigError
     with pytest.raises(DomainError):
         dist_from_json({"kind": "exponential", "params": {"rate": -1.0}})

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetail import (
     DOMINANT_Q,
@@ -14,11 +17,11 @@ from treetail import (
     run_scenario,
     write_report,
 )
-from treetail import simulate
+from treetail import dist_from_json, law_from_json, simulate
 from treetail.harness import KS_START, KS_STEPS, _gap_check, _mean_check
 from treetail.pools import KIND_R_PARTIAL
-from treetail.streams import StreamTree
-from treetail.errors import ConfigError, RegimeMismatch
+from treetail.streams import BLOCK, StreamTree
+from treetail.errors import ConfigError, RegimeMismatch, TreetailError
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -30,6 +33,16 @@ ZN_LAW_DOC = {
         "q_dist": {"kind": "constant", "params": {"value": 1.0}},
         "n_dist": {"kind": "zeta_tail", "params": {"alpha": 2.0}},
         "c": 0.24317084074161066,
+    },
+}
+
+
+Q_LAW_DOC = {
+    "model": "independent_iid",
+    "params": {
+        "q_dist": {"kind": "pareto", "params": {"alpha": 2.5, "x_min": 1.0}},
+        "n_dist": {"kind": "constant", "params": {"value": 2.0}},
+        "c_dist": {"kind": "uniform", "params": {"low": 0.0, "high": 0.6}},
     },
 }
 
@@ -49,6 +62,23 @@ def tiny_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+SUM_DOC = tiny_doc(
+    name="tiny-sum",
+    dominant=DOMINANT_SUM,
+    law={
+        "model": "deterministic_weight",
+        "params": {
+            "q_dist": {"kind": "constant", "params": {"value": 1.0}},
+            "n_dist": {"kind": "zeta_tail", "params": {"alpha": 2.0}},
+            "c": 0.2,
+        },
+    },
+    x_dist={"kind": "pareto", "params": {"alpha": 2.0, "x_min": 1.0}},
+    depth=1,
+    quantile_grid=[0.05],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +112,68 @@ def test_config_roundtrip_with_optional_fields():
     (lambda d: d.update(bootstrap_B=100), "bootstrap_B"),
     (lambda d: d.update(seed=-1), "seed"),
     (lambda d: d.update(dominant="BOTH"), "dominant"),
+    (lambda d: d.update(quantile_grid=["a"]), "quantile_grid"),
+    (lambda d: d.update(quantile_grid=[None]), "quantile_grid"),
+    (lambda d: d.update(quantile_grid=[[0.1]]), "quantile_grid"),
+    (lambda d: d.update(dominant=[]), "must be one of"),
 ])
 def test_config_rejects_bad_documents(mutate, msg):
     doc = tiny_doc()
     mutate(doc)
     with pytest.raises(ConfigError, match=msg):
         ScenarioConfig.from_json(doc)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+_SEED_DOCS = {
+    "config": [tiny_doc(), SUM_DOC],
+    "law": [ZN_LAW_DOC, SUM_DOC["law"], Q_LAW_DOC],
+    "dist": [SUM_DOC["x_dist"], {"kind": "shifted", "params": {
+        "inner": {"kind": "lognormal", "params": {"mu": 0.0, "sigma": 1.0}}, "offset": -1.0}}],
+}
+_PARSERS = {"config": ScenarioConfig.from_json, "law": law_from_json, "dist": dist_from_json}
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A valid document with one to three fields replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = sorted(_key_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        node = doc
+        for key in head:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = draw(_JSON)
+    return doc
+
+
+@pytest.mark.parametrize("parser", sorted(_PARSERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_treetail_errors(parser, data):
+    doc = data.draw(_mutated(_SEED_DOCS[parser]) | _JSON)
+    try:
+        _PARSERS[parser](doc)
+    except TreetailError:
+        pass
 
 
 def test_sum_config_requires_x_dist():
@@ -178,9 +264,12 @@ def test_report_is_deterministic(tiny_report):
     assert again.to_json_dict() == tiny_report.to_json_dict()
 
 
-def test_threads_do_not_change_the_report(tiny_report):
-    threaded = run_scenario(ScenarioConfig.from_json(tiny_doc()), threads=4)
-    assert threaded.to_json_dict() == tiny_report.to_json_dict()
+@pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])
+def test_threads_do_not_change_the_report(doc):
+    # three blocks, so four threads really split the work
+    config = ScenarioConfig.from_json(dict(doc, pool_size=2 * BLOCK + 5_000))
+    threaded = run_scenario(config, threads=4)
+    assert threaded.to_json_dict() == run_scenario(config, threads=1).to_json_dict()
 
 
 def test_replica_hint_does_not_change_the_report(tiny_report):
@@ -242,22 +331,7 @@ def test_write_report_files(tiny_report, tmp_path):
 
 
 def test_sum_scenario_runs():
-    doc = tiny_doc(
-        name="tiny-sum",
-        dominant=DOMINANT_SUM,
-        law={
-            "model": "deterministic_weight",
-            "params": {
-                "q_dist": {"kind": "constant", "params": {"value": 1.0}},
-                "n_dist": {"kind": "zeta_tail", "params": {"alpha": 2.0}},
-                "c": 0.2,
-            },
-        },
-        x_dist={"kind": "pareto", "params": {"alpha": 2.0, "x_min": 1.0}},
-        depth=1,
-        quantile_grid=[0.05],
-    )
-    rep = run_scenario(ScenarioConfig.from_json(doc))
+    rep = run_scenario(ScenarioConfig.from_json(SUM_DOC))
     assert set(rep.verdicts) == {"tail_band", "hill_index", "mean_identities"}
     assert rep.tail_target == pytest.approx(0.04 * 1.6449340668482264 + 0.16, rel=1e-9)
     (check,) = rep.mean_checks

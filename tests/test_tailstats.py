@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from treetail import (
     Pareto,
     TailReport,
-    bootstrap_band,
-    empirical_ccdf,
+    Uniform,
     geometric_decay_fit,
     hill,
     hill_curve,
@@ -27,18 +26,6 @@ RNG = lambda seed=0: np.random.default_rng(seed)
 
 def pareto_samples(alpha, n, seed=0):
     return Pareto(alpha, 1.0).sample_many(RNG(seed), n)
-
-
-# ---------------------------------------------------------------------------
-# empirical ccdf
-# ---------------------------------------------------------------------------
-
-def test_empirical_ccdf_by_hand():
-    samples = np.array([1.0, 2.0, 2.0, 3.0])
-    assert empirical_ccdf(samples, 0.0) == 1.0
-    assert empirical_ccdf(samples, 1.0) == 0.75  # strictly greater than
-    assert empirical_ccdf(samples, 2.0) == 0.25
-    assert empirical_ccdf(samples, 3.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +72,15 @@ def test_hill_curve_shape():
     assert len(ks) <= 7
     assert all(2 <= k < samples.size for k in ks)
     assert all(est > 0 for est in curve.values())
+
+
+def test_hill_curve_equals_hill_at_each_k():
+    # negatives, zeros and ties near the top order statistics
+    samples = np.concatenate([pareto_samples(2.0, 5_000, seed=3).round(2),
+                              -pareto_samples(2.0, 1_000, seed=4), np.zeros(500)])
+    RNG(5).shuffle(samples)
+    curve = hill_curve(samples)
+    assert curve == {k: hill(samples, k) for k in curve}
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +191,17 @@ def test_tail_ratio_detects_a_known_scaling():
     assert rep.hill_curve  # attached by default on the numerator
 
 
+def test_tail_ratio_counts_strict_exceedances():
+    # x = 3 sits on a tie: only the values strictly above it count
+    num = np.array([1.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0])
+    den = Uniform(0.0, 4.0)
+    rep = tail_ratio_analytic(num, den.ccdf, den.quantile, [0.25],
+                              min_exceedances=1, bootstrap_b=200, with_hill=False)
+    assert rep.x_grid == (3.0,)
+    assert rep.ccdf_num == (0.5,)
+    assert rep.ratio == (2.0,)
+
+
 def test_tail_ratio_respects_exceedance_floor():
     den = pareto_samples(2.0, 2_000, seed=6)
     num = pareto_samples(2.0, 2_000, seed=7)
@@ -297,21 +304,8 @@ def test_tail_report_invariants():
 
 
 # ---------------------------------------------------------------------------
-# bootstrap and decay fits
+# decay fits
 # ---------------------------------------------------------------------------
-
-def test_bootstrap_band_basics():
-    a = RNG(3).normal(loc=2.0, size=4_000)
-    b = RNG(4).normal(loc=1.0, size=4_000)
-    stat = lambda x, y: float(x.mean() - y.mean())
-    lo, hi = bootstrap_band(stat, a, b, B=500, rng=RNG(5))
-    assert lo < 1.0 < hi
-    assert hi - lo < 0.25
-    lo2, hi2 = bootstrap_band(stat, a, b, B=500, rng=RNG(5))
-    assert (lo, hi) == (lo2, hi2)
-    with pytest.raises(DomainError):
-        bootstrap_band(stat, a, b, B=50)
-
 
 def test_geometric_decay_fit_exact():
     series = {n: 3.0 * 0.5 ** n for n in range(2, 9)}
