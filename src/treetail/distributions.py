@@ -7,7 +7,9 @@ scenarios), an exact complementary CDF, and analytic power moments
 
 Moments follow a three-way convention:
 
-* a finite float when a closed form (or rigorously bounded summation) exists,
+* a finite float when a closed form (or rigorously bounded summation) exists;
+  ``ZetaTail`` sums its first 2^16 terms exactly and closes the rest as a
+  series of Hurwitz zeta tails (Euler-Maclaurin), in plain ``math``/numpy,
 * ``math.inf`` as an explicit infinite marker when ``beta`` reaches the tail
   index of a regularly varying law (never a floating overflow),
 * ``None`` when no closed form is available (e.g. fractional moments of a
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ConfigError, DomainError
 
@@ -40,8 +41,9 @@ __all__ = [
     "dist_from_json",
 ]
 
-# Exact summation horizon for ZetaTail moments; the remainder past it is
-# closed with an Euler-Maclaurin tail whose error is far below 1e-12.
+# Exact summation horizon K for ZetaTail moments. Past it the summand is
+# expanded in powers of 1/k, and each power sums to a Hurwitz zeta tail
+# zeta(s, K) closed by Euler-Maclaurin; the result is within a few ulps.
 _ZETA_HEAD_TERMS = 1 << 16
 
 
@@ -274,20 +276,18 @@ class Pareto(Distribution):
         return {"alpha": self.alpha, "x_min": self.x_min}
 
 
-def _zeta_tail_em(alpha: float, beta: float, start: int) -> float:
-    """Euler-Maclaurin closure of sum_{k>=start} k^beta (k^-alpha - (k+1)^-alpha)."""
+def _hurwitz_zeta_tail(s: float, start: int) -> float:
+    """zeta(s, start) = sum_{k>=start} k^-s for s > 1, by Euler-Maclaurin.
 
-    def psi(t):
-        return t ** beta * (t ** -alpha - (1.0 + t) ** -(alpha))
-
-    def psi_prime(t):
-        core = t ** -alpha - (1.0 + t) ** -alpha
-        return beta * t ** (beta - 1.0) * core + t ** beta * (
-            -alpha * t ** (-alpha - 1.0) + alpha * (1.0 + t) ** (-alpha - 1.0)
-        )
-
-    integral, _ = integrate.quad(psi, start, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return integral + psi(start) / 2.0 - psi_prime(start) / 12.0
+    The integral and the half end term carry the value, followed by the B_2
+    and B_4 corrections; the first omitted (B_6) term is smaller than the
+    leading one by about s^6 / (30240 start^6), below 1e-18 for s < 300 at
+    start = 2^16.
+    """
+    out = start ** (1.0 - s) / (s - 1.0) + start ** -s / 2.0
+    out += s * start ** (-s - 1.0) / 12.0
+    out -= s * (s + 1.0) * (s + 2.0) * start ** (-s - 3.0) / 720.0
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -323,10 +323,26 @@ class ZetaTail(Distribution):
             return 1.0
         if beta >= self.alpha:
             return math.inf
+        # Summation by parts against P(N >= k) = k^-alpha: the k = 1 term is
+        # 1^beta = 1 for every beta, and the boundary term n^beta P(N > n)
+        # vanishes because beta < alpha.
         a = self.alpha
-        k = np.arange(1, _ZETA_HEAD_TERMS, dtype=float)
-        head = math.fsum(k ** beta * (k ** -a - (k + 1.0) ** -a))
-        return head + _zeta_tail_em(a, beta, _ZETA_HEAD_TERMS)
+        k = np.arange(2, _ZETA_HEAD_TERMS, dtype=float)
+        head = math.fsum((k ** beta - (k - 1.0) ** beta) * k ** -a)
+        # Past the head, k^beta - (k-1)^beta = sum_j coef_j k^(beta-j) with
+        # coef_j = (-1)^(j+1) binom(beta, j), so each j adds one Hurwitz tail
+        # about 2^-16 the size of the one before; the loop stops once a term
+        # no longer moves the sum. An integer beta ends the series exactly,
+        # since coef_j = 0 for j > beta.
+        tail = 0.0
+        coef = beta
+        for j in range(1, 16):
+            term = coef * _hurwitz_zeta_tail(a - beta + j, _ZETA_HEAD_TERMS)
+            tail += term
+            if abs(term) <= 1e-17 * abs(tail):
+                break
+            coef *= (j - beta) / (j + 1.0)
+        return 1.0 + head + tail
 
     def support_min(self):
         return 1.0
@@ -355,12 +371,18 @@ class LogNormal(Distribution):
         if not self.sigma > 0:
             raise DomainError("lognormal sigma must be positive")
 
+    # scipy is imported here, not at module level: it is the package's
+    # largest import, and no other law needs it.
     def quantile(self, u):
+        from scipy import special
+
         u, scalar = _prepare(u)
         u = np.clip(u, 1e-300, None)
         return _maybe_scalar(np.exp(self.mu + self.sigma * special.ndtri(u)), scalar)
 
     def ccdf(self, x):
+        from scipy import special
+
         x, scalar = _prepare(x)
         out = np.where(x <= 0, 1.0, special.ndtr((self.mu - np.log(np.maximum(x, 1e-300))) / self.sigma))
         return _maybe_scalar(out, scalar)

@@ -22,7 +22,6 @@ TAG_EXACT = 5
 TAG_SUM = 6
 TAG_BOOTSTRAP = 7
 TAG_MC = 8
-TAG_KS_CHAIN = 9
 
 # Pool evolution is data-parallel over fixed blocks of output indices. The
 # block size is a format-level constant: changing it would change which

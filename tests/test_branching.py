@@ -14,6 +14,7 @@ from treetail import (
     InverseN,
     PageRankLike,
     Pareto,
+    Shifted,
     Uniform,
     ZetaTail,
     law_from_json,
@@ -57,6 +58,15 @@ def test_rho_beta_deterministic_weight():
     # c E[N] with E[N] = zeta(2), c calibrated so rho = 0.4
     assert law.rho_beta(1.0) == pytest.approx(0.4, abs=1e-14)
     assert law.rho_beta(2.0) == pytest.approx(law.c ** 2 * zeta(2, 1), rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+def test_q_plus_moment_integrates_a_negative_support_q(beta):
+    # Q = E - 1/2 with E ~ Exp(1): E[(Q^+)^beta] = int_0^inf beta x^(beta-1)
+    # e^-(x + 1/2) dx = e^(-1/2) Gamma(beta + 1), by quadrature of the ccdf
+    law = IndependentIID(Shifted(Exponential(1.0), -0.5), Constant(2.0), Uniform(0.0, 0.6))
+    expected = math.exp(-0.5) * math.gamma(beta + 1.0)
+    assert law.q_plus_moment(beta) == pytest.approx(expected, rel=1e-10)
 
 
 def test_rho_beta_pagerank_like():

@@ -1,12 +1,16 @@
 """End-to-end exercises of the command line through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import treetail
 from treetail import simulate
 from treetail.cli import cli
 from treetail.harness import load_config
@@ -288,3 +292,30 @@ def test_missing_config_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(cli, ["constants", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
     assert "does not exist" in result.stderr
+
+
+IMPORT_GUARD = """
+import sys
+from pathlib import Path
+
+import treetail.cli
+from treetail import asymptotics
+from treetail.harness import load_config
+
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    config = load_config(path)
+    asymptotics.compute_constants(config.law, config.alpha)
+    print(path.name)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_shipped_constants_do_not_import_scipy():
+    # scipy is the package's largest import; only LogNormal and the
+    # quadrature for a Q with negative support load it, lazily
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    src = str(Path(treetail.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(configs)],
+                         env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["q-baseline.json", "sum-appendix.json", "zn-baseline.json", "[]"]

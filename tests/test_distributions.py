@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -74,6 +76,58 @@ def test_zeta_tail_moments_against_zeta_values():
     # E[N] = zeta(3), E[N^2] = 2 zeta(2) - zeta(3) via sum (2k+1) (k+1)^-3
     assert z3.mean() == pytest.approx(zeta(3, 1), abs=1e-12)
     assert z3.moment(2) == pytest.approx(2.0 * zeta(2, 1) - zeta(3, 1), abs=1e-11)
+
+
+def _zeta_moment_hurwitz(alpha, beta, head=64, terms=40):
+    """E[N^beta] for P(N >= k) = k^-alpha at 30 digits, in the Hurwitz form.
+
+    Summation by parts up to ``head``, then
+    sum_j (-1)^(j+1) binom(beta, j) zeta(alpha - beta + j, head); each j is
+    about 1/head the size of the one before, so 40 terms are far past 30
+    digits. (``mpmath.nsum`` is no reference here: its extrapolation
+    returns 10.83 for alpha = 2, beta = 1.9, whose terms decay like k^-1.1.)
+    """
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        value = 1 + mpmath.fsum(
+            (mpmath.mpf(k) ** b - mpmath.mpf(k - 1) ** b) * mpmath.mpf(k) ** -a
+            for k in range(2, head)
+        )
+        value += mpmath.fsum(
+            (-1) ** (j + 1) * mpmath.binomial(b, j) * mpmath.zeta(a - b + j, head)
+            for j in range(1, terms)
+        )
+        return float(value)
+
+
+def _moment_raising_on_warnings(dist, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return dist.moment(beta)
+
+
+def test_zeta_tail_moments_match_closed_forms():
+    # E[N] = zeta(1.2), a series that decays like k^-1.2
+    assert _moment_raising_on_warnings(ZetaTail(1.2), 1.0) == pytest.approx(5.591582441177752, rel=1e-12)
+    # E[1/N] = sum 1/(k^2 (k+1)) = zeta(2) - 1
+    assert _moment_raising_on_warnings(ZetaTail(1.0), -1.0) == pytest.approx(
+        math.pi ** 2 / 6.0 - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (2.0, 1.9), (2.0, 1.99), (2.0, 2.0 - 1e-6), (2.0, -0.5), (0.3, 0.1), (10.0, 9.5),
+])
+def test_zeta_tail_moments_match_the_hurwitz_form(alpha, beta):
+    """The moment stays exact as beta approaches alpha, where the series
+    decays like k^(beta - alpha - 1) and any quadrature of it struggles."""
+    value = _moment_raising_on_warnings(ZetaTail(alpha), beta)
+    assert value == pytest.approx(_zeta_moment_hurwitz(alpha, beta), rel=1e-12)
+
+
+def test_zeta_moment_reference_values():
+    assert _zeta_moment_hurwitz(1.2, 1.0) == pytest.approx(float(mpmath.zeta(1.2)), rel=1e-15)
+    assert _zeta_moment_hurwitz(2.0, 1.9) == pytest.approx(18.7255, abs=1e-4)
+    assert _zeta_moment_hurwitz(2.0, 1.99) == pytest.approx(198.533, abs=1e-3)
 
 
 def test_lognormal_moments():
