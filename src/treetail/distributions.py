@@ -56,21 +56,45 @@ def _prepare(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _power_into(u: np.ndarray, exponent: float) -> np.ndarray:
+    """``u ** exponent`` written into ``u``.
+
+    A 0-d ``u`` goes through numpy's scalar power, which can differ from the
+    array loop in the last bit, so a scalar quantile keeps the value it had
+    when it was computed on a numpy scalar.
+    """
+    if u.ndim == 0:
+        u[()] = u[()] ** exponent
+    else:
+        u **= exponent
+    return u
+
+
 class Distribution:
     """Common behavior for all scalar laws."""
 
     kind: str = "base"
 
     # -- sampling -----------------------------------------------------------
-    def quantile(self, u):
-        """Generalized inverse CDF, vectorized over ``u`` in [0, 1)."""
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The generalized inverse CDF written into the float array ``u``, which is returned."""
         raise NotImplementedError
+
+    def quantile(self, u):
+        """Generalized inverse CDF, vectorized over ``u`` in [0, 1); ``u`` is left unchanged."""
+        arr = np.array(u, dtype=float)  # a copy: the inverse CDF writes into it
+        return _maybe_scalar(self._inverse_cdf(arr), arr.ndim == 0)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.quantile(rng.random()))
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.asarray(self.quantile(rng.random(int(size))), dtype=float)
+        """``quantile(rng.random(size))``, computed in the array of uniforms itself.
+
+        The result and the generator state afterwards are bit for bit those
+        of ``quantile(rng.random(size))``; no second array is allocated.
+        """
+        return self._inverse_cdf(rng.random(int(size)))
 
     # -- analytics ----------------------------------------------------------
     def ccdf(self, x):
@@ -121,9 +145,29 @@ class Constant(Distribution):
     value: float
     kind = "constant"
 
-    def quantile(self, u):
-        u, scalar = _prepare(u)
-        return _maybe_scalar(np.full_like(u, self.value), scalar)
+    def _inverse_cdf(self, u):
+        u.fill(self.value)
+        return u
+
+    def sample_many(self, rng, size):
+        # The uniforms are discarded, so skip them where the stream allows:
+        # a PCG64 float64 draw is one step, so advance(size) skips exactly
+        # what random(size) consumes (not so for Philox; MT19937 and SFC64
+        # cannot advance). advance() also zeroes the buffered 32-bit half
+        # (has_uint32 and uinteger), which random() leaves alone, so that
+        # is put back.
+        bg = rng.bit_generator
+        size = int(size)
+        if size <= 0 or not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+            rng.random(size)
+        else:
+            state = bg.state
+            bg.advance(size)
+            if state["has_uint32"] or state["uinteger"]:
+                advanced = bg.state
+                advanced["has_uint32"], advanced["uinteger"] = state["has_uint32"], state["uinteger"]
+                bg.state = advanced
+        return np.full(size, float(self.value))
 
     def ccdf(self, x):
         x, scalar = _prepare(x)
@@ -164,9 +208,10 @@ class Uniform(Distribution):
         if not self.low < self.high:
             raise DomainError("uniform law needs low < high")
 
-    def quantile(self, u):
-        u, scalar = _prepare(u)
-        return _maybe_scalar(self.low + (self.high - self.low) * u, scalar)
+    def _inverse_cdf(self, u):
+        u *= self.high - self.low
+        u += self.low
+        return u
 
     def ccdf(self, x):
         x, scalar = _prepare(x)
@@ -207,9 +252,12 @@ class Exponential(Distribution):
         if not self.rate > 0:
             raise DomainError("exponential rate must be positive")
 
-    def quantile(self, u):
-        u, scalar = _prepare(u)
-        return _maybe_scalar(-np.log1p(-u) / self.rate, scalar)
+    def _inverse_cdf(self, u):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u /= self.rate
+        return u
 
     def ccdf(self, x):
         x, scalar = _prepare(x)
@@ -244,9 +292,11 @@ class Pareto(Distribution):
         if not self.x_min > 0:
             raise DomainError("pareto scale must be positive")
 
-    def quantile(self, u):
-        u, scalar = _prepare(u)
-        return _maybe_scalar(self.x_min * (1.0 - u) ** (-1.0 / self.alpha), scalar)
+    def _inverse_cdf(self, u):
+        np.subtract(1.0, u, out=u)
+        _power_into(u, -1.0 / self.alpha)
+        u *= self.x_min
+        return u
 
     def ccdf(self, x):
         x, scalar = _prepare(x)
@@ -305,13 +355,15 @@ class ZetaTail(Distribution):
         if not self.alpha > 0:
             raise DomainError("zeta tail index must be positive")
 
-    def quantile(self, u):
+    def _inverse_cdf(self, u):
         # Smallest k with (1+k)^-alpha <= 1-u; the max() guards the u == 0.0
         # float artifact (the law itself puts no mass at 0).
-        u, scalar = _prepare(u)
-        t = (1.0 - u) ** (-1.0 / self.alpha)
-        k = np.maximum(np.ceil(t - 1.0), 1.0)
-        return _maybe_scalar(k, scalar)
+        np.subtract(1.0, u, out=u)
+        _power_into(u, -1.0 / self.alpha)
+        u -= 1.0
+        np.ceil(u, out=u)
+        np.maximum(u, 1.0, out=u)
+        return u
 
     def ccdf(self, x):
         x, scalar = _prepare(x)
@@ -328,7 +380,18 @@ class ZetaTail(Distribution):
         # vanishes because beta < alpha.
         a = self.alpha
         k = np.arange(2, _ZETA_HEAD_TERMS, dtype=float)
-        head = math.fsum((k ** beta - (k - 1.0) ** beta) * k ** -a)
+        if max(abs(beta), a) * math.log2(_ZETA_HEAD_TERMS) < 1000.0:
+            head = math.fsum((k ** beta - (k - 1.0) ** beta) * k ** -a)
+        else:
+            # k^beta or k^-a would leave the float range, so each term is
+            # factored into powers no larger than 1:
+            # k^beta - (k-1)^beta = -k^beta expm1(beta log1p(-1/k))
+            #                     = (k-1)^beta expm1(-beta log1p(-1/k))
+            step = np.log1p(-1.0 / k)
+            if beta > 0:
+                head = math.fsum(-np.expm1(beta * step) * k ** (beta - a))
+            else:
+                head = math.fsum(np.expm1(-beta * step) * (k - 1.0) ** beta * k ** -a)
         # Past the head, k^beta - (k-1)^beta = sum_j coef_j k^(beta-j) with
         # coef_j = (-1)^(j+1) binom(beta, j), so each j adds one Hurwitz tail
         # about 2^-16 the size of the one before; the loop stops once a term
@@ -373,12 +436,15 @@ class LogNormal(Distribution):
 
     # scipy is imported here, not at module level: it is the package's
     # largest import, and no other law needs it.
-    def quantile(self, u):
+    def _inverse_cdf(self, u):
         from scipy import special
 
-        u, scalar = _prepare(u)
-        u = np.clip(u, 1e-300, None)
-        return _maybe_scalar(np.exp(self.mu + self.sigma * special.ndtri(u)), scalar)
+        np.clip(u, 1e-300, None, out=u)
+        special.ndtri(u, out=u)
+        u *= self.sigma
+        u += self.mu
+        np.exp(u, out=u)
+        return u
 
     def ccdf(self, x):
         from scipy import special
@@ -410,8 +476,10 @@ class Shifted(Distribution):
     offset: float
     kind = "shifted"
 
-    def quantile(self, u):
-        return self.inner.quantile(u) + self.offset
+    def _inverse_cdf(self, u):
+        u = self.inner._inverse_cdf(u)
+        u += self.offset
+        return u
 
     def ccdf(self, x):
         x, scalar = _prepare(x)

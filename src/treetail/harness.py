@@ -19,13 +19,16 @@ atomic laws shrinks far more slowly. ``ks_cross[k]`` compares step k of the
 chain from 0 with the horizon pool R^(k-1), which has the same law, because
 step 1 is Q.
 
-Order of work in a tree scenario: the Z_N denominator, then the W pools,
-then the horizon loop R^(1), ..., R^(depth). The two fixed-point chains run
-in lockstep with the first KS_STEPS iterations of that loop: iteration k
-steps each chain once and takes ``ks_series[k]``, ``ks_cross[k]`` and
-``coupled_gap[k]`` before R^(k-1) is evolved, so each chain holds one pool
-at a time and both are dropped after step KS_STEPS. Streams are keyed by
-(purpose, generation, block), so this order changes no sampled value.
+Order of work in a tree scenario: the Z_N denominator, drawn only under ZN
+dominance (the Q-side ratio has an analytic denominator and nothing else
+reads Z_N), then the W pools, the last of which is freed when the W loop
+ends, then the horizon loop R^(1), ..., R^(depth). The two fixed-point
+chains run in lockstep with the first KS_STEPS iterations of that loop:
+iteration k steps each chain once and takes ``ks_series[k]``,
+``ks_cross[k]`` and ``coupled_gap[k]`` before R^(k-1) is evolved, so each
+chain holds one pool at a time and both are dropped after step KS_STEPS.
+Streams are keyed by (purpose, generation, block), so this order changes no
+sampled value.
 
 Determinism: a report is a pure function of (config, seed). ``replicas`` is
 a worker-count hint; every pool, the Z_N denominator and the one-shot sums
@@ -449,10 +452,15 @@ def _band_verdict(tail: TailReport, target: float) -> bool:
 
 def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
     law, size = config.law, config.pool_size
+    zn_dominant = config.dominant == DOMINANT_ZN
 
-    zn = simulate._run_blocks(
-        lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
-        size, threads)
+    # only the ZN-side ratios read Z_N; it has its own stream, so skipping
+    # it under Q dominance moves no other value
+    zn = None
+    if zn_dominant:
+        zn = simulate._run_blocks(
+            lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
+            size, threads)
 
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}
@@ -465,7 +473,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
                             prev_var=var_w, rho=regime.rho)
         var_w = check.stderr ** 2
         mean_checks.append(check)
-        if config.dominant == DOMINANT_ZN and n in DECAY_GENERATIONS:
+        if zn_dominant and n in DECAY_GENERATIONS:
             try:
                 rep = tailstats.tail_ratio(
                     w_pool.values, zn, DECAY_GRID,
@@ -474,6 +482,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
                 decay_ratios[n] = max(rep.ratio)
             except EmptyGrid:
                 pass
+    del w_pool  # nothing below reads W; free it before the R pools
 
     # coupled fixed-point chains from two initial conditions, stepped in
     # lockstep with the horizon loop; they share every stream, so their KS
@@ -506,7 +515,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
             mean_checks.append(check)
 
     boot_rng, trend_rng = streams.child(TAG_BOOTSTRAP, 0, 0), streams.child(TAG_BOOTSTRAP, 2, 0)
-    if config.dominant == DOMINANT_ZN:
+    if zn_dominant:
         tail = tailstats.tail_ratio(
             r_pool.values, zn, config.quantile_grid,
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
@@ -516,7 +525,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
 
     decay = None
-    if config.dominant == DOMINANT_ZN and config.depth >= DECAY_GENERATIONS[-1]:
+    if zn_dominant and config.depth >= DECAY_GENERATIONS[-1]:
         admissible = constants.eta + DECAY_RATE_SLACK
         fitted_rate = r2 = None
         ok = False

@@ -124,8 +124,9 @@ def sample_weighted_sum(law, x_dist, rng, size: int | None = None):
     m = 1 if scalar else int(size)
     q, n, weights = law.draw_roots(m, rng)
     x = x_dist.sample_many(rng, int(n.sum()))
-    idx = np.repeat(np.arange(m), n)
-    totals = q + np.bincount(idx, weights=weights * x, minlength=m)
+    x *= weights  # x is a fresh draw: the products and the sums reuse arrays
+    totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
+    totals += q
     return float(totals[0]) if scalar else totals
 
 

@@ -32,6 +32,7 @@ monotonicity, not its rate, and bounds the cross-check of iterate step k
 against the horizon pool R^(k-1), which has the same law.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from treetail.branching import (
     PageRankLike,
 )
 from treetail.distributions import Constant, Exponential, Uniform, ZetaTail
-from treetail.harness import load_config, run_scenario
+from treetail.harness import load_config, run_scenario, write_report
 from treetail.pools import KIND_R_PARTIAL, KIND_W
 from treetail.streams import StreamTree, TAG_EXACT
 
@@ -250,3 +251,40 @@ def test_criterion_9_exact_vs_population():
         f"exact draws vs depth-3 population pools, KS: {listing} "
         f"(1% critical value {critical:.5f})")
     assert ok
+
+
+# sha256 of each report file at the shipped seeds. The pipeline's memory and
+# speed work must leave every byte alone; a change that means to move sampled
+# values re-pins these and says so. The values depend on numpy's generators
+# and ufunc loops, so they are checked against the numpy they were recorded with.
+PINNED_NUMPY = "2.4.6"
+REPORT_SHA256 = {
+    "zn": {
+        "report.json": "4633e2bbeba04d8342d3a238f688d5bf0b2813c2f0763fa400d97251d94ad8f0",
+        "tail.csv": "4fd727b8b9868f5615fe3c0eeb138bac2d688f97c37bd070018ae0bcf1535638",
+        "hill.csv": "9549ea32eb6efdcf6b4565d22b05979df34fd31eae1b69cff971802c1ce9dbad",
+        "decay.csv": "766b3dbac68fa3d46b4bb17a62aba1b23af27152901efe8766a56d98ea4690f9",
+    },
+    "q": {
+        "report.json": "27fc1e83277c3c91b3cb56c2873deaa6148742527a8705739c09f9e8664cab18",
+        "tail.csv": "d46b7db127353c3e58b4ace4bbebe10a34bf2bbada633158e760afcd7cb1ed35",
+        "hill.csv": "a71c8ca7829c48f997c6c7cbe9cffad92a3d40bfac9471d7714d07c9ac36621f",
+        "decay.csv": "91cd18b330127fedac8f13534c32c89a490ae6133119b487ec603018d1f0ed42",
+    },
+    "sum": {
+        "report.json": "c009bbce93b2a30b9ffe4c56b9245c23c8e6fc741cc339420ed4fd9456841fd5",
+        "tail.csv": "a505b70e72753cabe2b4e2275408f33e2aa96937d808120f065e5ac4c13cdf35",
+        "hill.csv": "e7e71f7d4918a9fd36b4b3222e271753dc344dfc64bc1f28e564c0894049ac04",
+        "decay.csv": "91cd18b330127fedac8f13534c32c89a490ae6133119b487ec603018d1f0ed42",
+    },
+}
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason=f"report bytes were pinned with numpy {PINNED_NUMPY}")
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(name, request, tmp_path):
+    report = request.getfixturevalue(f"{name}_report")
+    out = write_report(report, tmp_path / name)
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in REPORT_SHA256[name]}
+    assert digests == REPORT_SHA256[name]

@@ -124,6 +124,19 @@ def test_zeta_tail_moments_match_the_hurwitz_form(alpha, beta):
     assert value == pytest.approx(_zeta_moment_hurwitz(alpha, beta), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha,beta,head", [
+    (100.0, 70.0, 64), (80.0, 64.5, 64), (70.0, 69.5, 64), (300.0, 250.0, 64),
+    (2.0, -100.0, 64), (0.5, -80.0, 64), (1000.0, 999.5, 8192),
+])
+def test_zeta_tail_moments_stay_finite_where_powers_overflow(alpha, beta, head):
+    """k^beta or k^-alpha leaves the float range inside the exact head
+    (k < 2^16) once |beta| or alpha passes 64; the moment must not. The
+    reference needs a longer head when beta / head is large, or its binomial
+    series converges too slowly for 40 terms."""
+    value = _moment_raising_on_warnings(ZetaTail(alpha), beta)
+    assert value == pytest.approx(_zeta_moment_hurwitz(alpha, beta, head=head), rel=1e-12)
+
+
 def test_zeta_moment_reference_values():
     assert _zeta_moment_hurwitz(1.2, 1.0) == pytest.approx(float(mpmath.zeta(1.2)), rel=1e-15)
     assert _zeta_moment_hurwitz(2.0, 1.9) == pytest.approx(18.7255, abs=1e-4)
@@ -227,6 +240,70 @@ def test_zeta_tail_samples_match_pmf():
         expected = z.ccdf(float(k))
         se = math.sqrt(expected * (1 - expected) / samples.size)
         assert abs(observed - expected) < 5 * se + 1e-9
+
+
+_EVERY_KIND = [
+    Constant(2.0),
+    Uniform(0.0, 0.6),
+    Exponential(1.5),
+    Pareto(2.5, 1.0),
+    ZetaTail(2.0),
+    LogNormal(0.1, 0.7),
+    Shifted(Pareto(2.0, 1.0), -0.25),
+]
+
+
+def _states_equal(x, y) -> bool:
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_states_equal(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
+@pytest.mark.parametrize("dist", _EVERY_KIND, ids=lambda d: d.kind)
+@pytest.mark.parametrize("size", [0, 1, 65539])
+@pytest.mark.parametrize("bit_generator,draws32", [
+    (np.random.PCG64, 0), (np.random.PCG64, 1), (np.random.PCG64, 2), (np.random.PCG64, 3),
+    (np.random.MT19937, 1), (np.random.Philox, 1),
+])
+def test_sample_many_is_quantile_of_the_same_uniforms(dist, size, bit_generator, draws32):
+    """sample_many draws and consumes exactly what quantile(rng.random(n)) does,
+    including the buffered 32-bit half a PCG64 holds after an odd number of
+    32-bit draws (and the stale one it keeps after an even number)."""
+    rng, rng2 = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+    for g in (rng, rng2):
+        g.integers(0, 2 ** 32, size=draws32, dtype=np.uint32)
+    got = dist.sample_many(rng, size)
+    u = rng2.random(size)
+    kept = u.copy()
+    expected = dist.quantile(u)
+    assert got.dtype == np.float64 and got.shape == (size,)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(u, kept)  # quantile never writes into its argument
+    assert _states_equal(rng.bit_generator.state, rng2.bit_generator.state)
+
+
+@pytest.mark.parametrize("dist", _EVERY_KIND, ids=lambda d: d.kind)
+def test_scalar_quantile_is_a_float_and_leaves_its_argument(dist):
+    u = np.array([0.3, 0.999])
+    values = dist.quantile(u)
+    assert np.array_equal(u, [0.3, 0.999])
+    for ui, v in zip(u, values):
+        scalar = dist.quantile(float(ui))
+        assert type(scalar) is float
+        assert scalar == pytest.approx(float(v), rel=1e-15)
+    zero_d = np.array(0.3)
+    dist.quantile(zero_d)
+    assert zero_d == 0.3
+
+
+def test_scalar_pareto_quantile_keeps_numpy_scalar_power():
+    # numpy's scalar power and its array loop can differ in the last bit; a
+    # scalar quantile keeps the scalar one, which analytic grids were pinned with
+    p = Pareto(2.0, 1.0)
+    for u in np.random.default_rng(3).random(200):
+        assert p.quantile(float(u)) == float(1.0 * np.float64(1.0 - u) ** (-1.0 / 2.0))
 
 
 def test_sampling_is_reproducible():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,85 @@ def test_hill_curve_equals_hill_at_each_k():
     RNG(5).shuffle(samples)
     curve = hill_curve(samples)
     assert curve == {k: hill(samples, k) for k in curve}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, DegenerateTail) as exc:
+        return type(exc), str(exc)
+
+
+_HILL_VALUES = st.one_of(
+    st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 1.0, 3.0, math.nan, math.inf]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+# subnormal values overflow the ratio to the reference statistic in both
+# estimators alike; the warning says nothing about the comparison
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_HILL_VALUES, min_size=1, max_size=120),
+    k=st.integers(min_value=0, max_value=130),
+    order=st.sampled_from(["as drawn", "sorted", "reversed"]),
+)
+def test_hill_equals_the_partition_reference(hill_reference, values, k, order):
+    ref_hill, ref_curve = hill_reference
+    arr = _arrange(values, order)
+    kept = arr.copy()
+    assert _outcome(hill, arr, k) == _outcome(ref_hill, arr, k)
+    assert _outcome(hill_curve, arr) == _outcome(ref_curve, arr)
+    assert np.array_equal(arr, kept, equal_nan=True)
+
+
+@pytest.mark.parametrize("order", ["as drawn", "sorted", "reversed"])
+def test_hill_equals_the_reference_on_strided_subsamples(hill_reference, order):
+    """Past 2^17 samples the candidate threshold comes from a strided subsample."""
+    ref_hill, ref_curve = hill_reference
+    rng = RNG(12)
+    values = np.concatenate([pareto_samples(2.0, 300_000, seed=13).round(1),
+                             -np.ones(20_000), np.zeros(20_000), [np.nan] * 10])
+    rng.shuffle(values)
+    arr = _arrange(values, order)
+    for k in (2, 10, 1000, 30_000):
+        assert hill(arr, k) == ref_hill(arr, k)
+    assert hill_curve(arr) == ref_curve(arr)
+
+
+def test_hill_falls_back_when_the_subsample_misleads(hill_reference):
+    # every fourth value (the strided subsample) holds the large ones, so the
+    # subsample's threshold keeps fewer than k + 1 candidates
+    ref_hill, _ = hill_reference
+    arr = np.full(1 << 18, 0.5)
+    arr[: 4 * 1000: 4] = 1000.0 + np.arange(1000.0)
+    assert hill(arr, 2000) == ref_hill(arr, 2000)
+    assert hill(arr, 500) == ref_hill(arr, 500)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hill_reads_the_sample_without_copying_it():
+    x = pareto_samples(2.0, 2_000_000, seed=14)
+    # copying and partitioning the positives peaked at 1.13x and 1.17x the input's bytes
+    assert _peak_bytes(hill, x, 1000) <= 0.15 * x.nbytes
+    assert _peak_bytes(hill_curve, x) <= 0.5 * x.nbytes
+
+
+def test_ks_distance_peak_memory():
+    a = RNG(15).random(1_000_000)
+    b = RNG(16).random(1_000_000)
+    # three (size a + size b) float64 or int64 arrays are 45.8 MiB
+    assert _peak_bytes(ks_distance, a, b) <= 50 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
