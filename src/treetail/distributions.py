@@ -149,26 +149,6 @@ class Constant(Distribution):
         u.fill(self.value)
         return u
 
-    def sample_many(self, rng, size):
-        # The uniforms are discarded, so skip them where the stream allows:
-        # a PCG64 float64 draw is one step, so advance(size) skips exactly
-        # what random(size) consumes (not so for Philox; MT19937 and SFC64
-        # cannot advance). advance() also zeroes the buffered 32-bit half
-        # (has_uint32 and uinteger), which random() leaves alone, so that
-        # is put back.
-        bg = rng.bit_generator
-        size = int(size)
-        if size <= 0 or not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
-            rng.random(size)
-        else:
-            state = bg.state
-            bg.advance(size)
-            if state["has_uint32"] or state["uinteger"]:
-                advanced = bg.state
-                advanced["has_uint32"], advanced["uinteger"] = state["has_uint32"], state["uinteger"]
-                bg.state = advanced
-        return np.full(size, float(self.value))
-
     def ccdf(self, x):
         x, scalar = _prepare(x)
         return _maybe_scalar((x < self.value).astype(float), scalar)
