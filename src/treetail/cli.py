@@ -42,8 +42,11 @@ def _guard(fn):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True, help="Output format for printed results.")
 @click.pass_context
+@_guard
 def cli(ctx, seed, threads, fmt):
     """Tail-asymptotics toolkit for branching-tree fixed points."""
+    if threads is not None and threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {threads}")
     ctx.ensure_object(dict)
     ctx.obj.update(seed=seed, threads=threads, fmt=fmt)
 
@@ -125,7 +128,10 @@ def tail(ctx, num_path, den_path, grid, min_exceedances, bootstrap_b, level, pre
     """Tail-ratio curve between two saved pools."""
     num = load_pool(num_path)
     den = load_pool(den_path)
-    probs = tuple(float(p) for p in grid.split(","))
+    try:
+        probs = tuple(float(p) for p in grid.split(","))
+    except ValueError:
+        raise DomainError(f"--grid must be comma-separated numbers, got {grid!r}") from None
     rng = StreamTree(ctx.obj["seed"] or 0).child(TAG_BOOTSTRAP, 0, 0)
     report = tailstats.tail_ratio(
         num.values, den.values, probs,

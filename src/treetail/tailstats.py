@@ -178,7 +178,7 @@ def _clean_grid(quantile_grid) -> np.ndarray:
     grid = np.asarray(sorted(set(float(p) for p in quantile_grid)), dtype=float)[::-1]
     if grid.size == 0:
         raise DomainError("quantile grid is empty")
-    if np.any(grid <= 0.0) or np.any(grid >= 0.5):
+    if not np.all((grid > 0.0) & (grid < 0.5)):  # NaN fails too
         raise DomainError("grid probabilities must lie in (0, 0.5)")
     return grid
 
@@ -338,47 +338,66 @@ def tail_ratio_analytic(
 # distribution comparison and decay fitting
 # ---------------------------------------------------------------------------
 
+# every _KS_CHUNK-th value of each sorted sample is a cut of ``ks_distance``
+_KS_CHUNK = 1 << 15
+
+
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance by merge-scan of sorted samples.
+    """Two-sample Kolmogorov-Smirnov distance by a chunked merge of sorted samples.
 
-    Both samples are sorted, then merged by a stable argsort of their
-    concatenation, which timsort does in linear time because the input is
-    two sorted runs. Running counts of each sample along the merge, read at
-    the last member of each run of equal values, are the two empirical
-    CDFs at that value (the ``side="right"`` convention), so ties never
-    split a step. NaNs sort last and count as one value.
+    Both samples are sorted. Every ``_KS_CHUNK``-th value of each, and the
+    largest of each, is a cut, and the cuts split the merge into chunks
+    [t_k, t_k+1). At each cut, ``searchsorted(side="right")`` gives the two
+    counts of values <= t_k, so a run of equal values that holds a cut
+    costs one entry however long it is, and any run of ``_KS_CHUNK`` or more
+    values holds one. The values strictly between two cuts, fewer than
+    ``_KS_CHUNK`` from each sample, are merged by a stable argsort of their
+    concatenation (timsort merges the two sorted runs), and the running
+    counts are read at the last member of each run of equal values. The
+    counts at every pooled value are thus the two empirical CDFs there
+    (the ``side="right"`` convention), and ties never split a step. NaNs
+    sort last, form the run of the last cut, and count as one value.
 
-    ``a`` and ``b`` are left unchanged. Each sample is sorted inside their
-    concatenation and the merge is sorted in place, and every
-    (size a + size b) temporary is freed as soon as it is spent, so at most
-    three such float64 or int64 arrays are alive at once (48 MB for two 1M
-    samples, two when many values tie).
+    ``a`` and ``b`` are left unchanged. Beyond one sorted copy of each
+    sample, the memory used is O(``_KS_CHUNK``): the cuts and one chunk's
+    merge, about 3 MB.
     """
-    a = _as_samples(a, "a")
-    b = _as_samples(b, "b")
-    values = np.concatenate([a, b])
-    values[:a.size].sort()
-    values[a.size:].sort()
+    a = np.sort(_as_samples(a, "a"))
+    b = np.sort(_as_samples(b, "b"))
+    cuts = np.unique(np.concatenate([a[::_KS_CHUNK], a[-1:], b[::_KS_CHUNK], b[-1:]]))
+    start_a, end_a = np.searchsorted(a, cuts, "left"), np.searchsorted(a, cuts, "right")
+    start_b, end_b = np.searchsorted(b, cuts, "left"), np.searchsorted(b, cuts, "right")
+    gap = end_a / a.size
+    gap -= end_b / b.size
+    d = float(np.max(np.abs(gap, out=gap)))
+    for k in range(cuts.size - 1):
+        in_a = a[end_a[k]:start_a[k + 1]]
+        in_b = b[end_b[k]:start_b[k + 1]]
+        if in_a.size or in_b.size:
+            d = max(d, _ks_chunk(in_a, in_b, end_a[k], end_b[k], a.size, b.size))
+    return d
+
+
+def _ks_chunk(in_a, in_b, below_a: int, below_b: int, n_a: int, n_b: int) -> float:
+    """max |F_a - F_b| over the values of two sorted slices of the samples.
+
+    ``below_a`` and ``below_b`` count the members of each sample below the
+    slices; ``n_a`` and ``n_b`` are the sample sizes.
+    """
+    values = np.concatenate([in_a, in_b])
     order = np.argsort(values, kind="stable")
-    values.sort(kind="stable")  # the same arrangement as values[order]
-    last = np.empty(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=last[:-1])
-    last[-1] = True
-    if np.isnan(values[-1]):
-        last[:-1] &= ~np.isnan(values[:-1])
+    values = values[order]
+    last = np.append(np.flatnonzero(values[1:] != values[:-1]), values.size - 1)
     del values
-    # order becomes the running count of a's members, in place
-    np.less(order, a.size, out=order)
+    # order becomes the running count of in_a's members, in place
+    np.less(order, in_a.size, out=order)
     np.cumsum(order, out=order)
     count_a = order[last]
-    del order
-    count_b = np.flatnonzero(last)
-    del last
-    count_b += 1
-    count_b -= count_a
-    gap = count_a / a.size
-    del count_a
-    gap -= count_b / b.size
+    count_b = last + 1 - count_a
+    count_a += below_a
+    count_b += below_b
+    gap = count_a / n_a
+    gap -= count_b / n_b
     return float(np.max(np.abs(gap, out=gap)))
 
 

@@ -238,6 +238,16 @@ def test_tail_rejects_grid_outside_range(runner, tmp_path):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("grid", ["0.01,,0.001", "0.01,x", "nan"], ids=["empty", "word", "nan"])
+def test_tail_rejects_a_malformed_grid(runner, tmp_path, grid):
+    path = tmp_path / "p.pool"
+    save_pool(pareto_pool(6), path)
+    result = runner.invoke(cli, ["tail", "--num", str(path), "--den", str(path), "--grid", grid])
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert not isinstance(result.exception, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -286,6 +296,19 @@ def test_verify_reports_wrongly_typed_config_fields_as_errors(runner, tmp_path, 
     result = runner.invoke(cli, ["verify", config, "--out", str(tmp_path / "r")])
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "constants"])
+def test_threads_below_one_are_refused(runner, config_path, tmp_path, command, threads):
+    out = {"simulate": ["--out", str(tmp_path / "x.pool")],
+           "verify": ["--out", str(tmp_path / "r")],
+           "constants": []}[command]
+    result = runner.invoke(cli, ["--threads", threads, command, config_path, *out])
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert "threads" in result.stderr
+    assert not (tmp_path / "x.pool").exists()
 
 
 def test_missing_config_is_a_usage_error(runner, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from treetail import (
     tail_ratio,
     tail_ratio_analytic,
 )
+from treetail import tailstats
 from treetail.errors import DegenerateTail, DomainError, EmptyGrid, NonPositive
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -159,8 +161,15 @@ def test_hill_reads_the_sample_without_copying_it():
 def test_ks_distance_peak_memory():
     a = RNG(15).random(1_000_000)
     b = RNG(16).random(1_000_000)
-    # three (size a + size b) float64 or int64 arrays are 45.8 MiB
-    assert _peak_bytes(ks_distance, a, b) <= 50 * 2 ** 20
+    # the two sorted copies are 15.3 MiB, and one chunk's merge about 3 MB more
+    assert _peak_bytes(ks_distance, a, b) <= 24 * 2 ** 20
+
+
+def test_ks_distance_peak_memory_on_heavy_ties():
+    a = np.ones(1_000_000)
+    b = RNG(17).random(1_000_000)
+    # the run of 1.0 holds cuts, so it is read once and never merged
+    assert _peak_bytes(ks_distance, a, b) <= 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +222,7 @@ def _arrange(values, order):
 )
 def test_ks_distance_equals_the_searchsorted_reference(ks_reference, a, b, order_a, order_b):
     a, b = _arrange(a, order_a), _arrange(b, order_b)
-    assert ks_distance(a, b) == ks_reference(a, b)
-    assert ks_distance(b, a) == ks_reference(b, a)
+    _assert_ks_is_exact(ks_reference, a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,8 +234,58 @@ def test_ks_distance_equals_the_searchsorted_reference(ks_reference, a, b, order
 def test_ks_distance_equals_the_reference_on_heavy_ties(ks_reference, a, b, order):
     # few distinct values, sample sizes down to one and far apart
     a, b = _arrange(a, order), np.asarray(b, dtype=float)
-    assert ks_distance(a, b) == ks_reference(a, b)
-    assert ks_distance(b, a) == ks_reference(b, a)
+    _assert_ks_is_exact(ks_reference, a, b)
+
+
+def _assert_ks_is_exact(ks_reference, a, b, chunks=None):
+    """ks_distance both ways equals the reference at each chunk size (default: the module's)."""
+    for chunk in chunks or (tailstats._KS_CHUNK,):
+        with mock.patch.object(tailstats, "_KS_CHUNK", chunk):
+            assert ks_distance(a, b) == ks_reference(a, b)
+            assert ks_distance(b, a) == ks_reference(b, a)
+
+
+# chunks of one to three values put cuts inside and between runs of ties
+_SMALL_CHUNKS = (1, 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.one_of(_TIED, _ANY), min_size=1, max_size=80),
+    b=st.lists(st.one_of(_TIED, _ANY), min_size=1, max_size=80),
+    order_a=_ORDERS,
+    order_b=_ORDERS,
+)
+def test_ks_distance_equals_the_searchsorted_reference_at_small_chunks(
+        ks_reference, a, b, order_a, order_b):
+    a, b = _arrange(a, order_a), _arrange(b, order_b)
+    _assert_ks_is_exact(ks_reference, a, b, _SMALL_CHUNKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(_TIED, min_size=1, max_size=200),
+    b=st.lists(_TIED, min_size=1, max_size=3),
+    order=_ORDERS,
+)
+def test_ks_distance_equals_the_reference_on_heavy_ties_at_small_chunks(ks_reference, a, b, order):
+    a, b = _arrange(a, order), np.asarray(b, dtype=float)
+    _assert_ks_is_exact(ks_reference, a, b, _SMALL_CHUNKS)
+
+
+def test_ks_distance_equals_the_reference_across_chunks(ks_reference):
+    rng = RNG(18)
+    # about 2000 ties per value, so cuts fall inside long runs
+    rounded = np.round(rng.random(200_000), 2)
+    continuous = rng.random(150_000)
+    assert 200_000 // tailstats._KS_CHUNK >= 4
+    _assert_ks_is_exact(ks_reference, rounded, continuous)
+    # NaN and +inf fill the last chunk, -inf sits in the first
+    continuous[rng.choice(continuous.size, 60, replace=False)] = np.repeat([np.nan, np.inf, -np.inf], 20)
+    rounded[:7] = np.nan
+    _assert_ks_is_exact(ks_reference, rounded, continuous)
+    # a chain pool at its first step: one value a million times
+    _assert_ks_is_exact(ks_reference, np.full(1_000_000, 1.0), rng.random(1_000_000) * 2.0)
 
 
 def test_ks_distance_equals_the_reference_with_nans_and_infinities(ks_reference):
