@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -105,7 +106,14 @@ def _is_int(value) -> bool:
 
 
 def load_pool(path: str | Path) -> SamplePool:
-    """Read a pool file; any malformed header, metadata or payload raises PoolFormatError."""
+    """Read a pool file; any malformed header, metadata or payload raises PoolFormatError.
+
+    The metadata ``count`` is checked against the payload's size on disk
+    before anything is allocated for the values, which are then read
+    straight into one fresh float64 array: the payload is held once, as
+    the pool's read-only ``values``. A pipe's payload is read whole first,
+    since only reading it tells its size, and the values are a view of it.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -119,15 +127,24 @@ def load_pool(path: str | Path) -> SamplePool:
             meta = json.loads(fh.read(meta_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise PoolFormatError(f"{path}: corrupt metadata block") from exc
-        payload = fh.read()
-    if not isinstance(meta, dict):
-        raise PoolFormatError(f"{path}: metadata is not a JSON object")
-    count = meta.get("count")
-    if len(payload) % 8:
-        raise PoolFormatError(f"{path}: value payload is truncated")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not _is_int(count) or values.size != count:
-        raise PoolFormatError(f"{path}: expected {count!r} values, found {values.size}")
+        if not isinstance(meta, dict):
+            raise PoolFormatError(f"{path}: metadata is not a JSON object")
+        count = meta.get("count")
+        info = os.fstat(fh.fileno())
+        # a pipe's payload is sized only by reading it
+        payload = None if stat.S_ISREG(info.st_mode) else fh.read()
+        payload_bytes = info.st_size - fh.tell() if payload is None else len(payload)
+        if payload_bytes % 8:
+            raise PoolFormatError(f"{path}: value payload is truncated")
+        found = payload_bytes // 8
+        if not _is_int(count) or found != count:
+            raise PoolFormatError(f"{path}: expected {count!r} values, found {found}")
+        if payload is not None:
+            values = np.frombuffer(payload, dtype="<f8")
+        else:
+            values = np.empty(count, dtype="<f8")
+            if fh.readinto(values) != payload_bytes:
+                raise PoolFormatError(f"{path}: value payload is truncated")
     generation = meta.get("generation")
     if not _is_int(generation):
         raise PoolFormatError(f"{path}: generation must be an integer, got {generation!r}")
@@ -141,7 +158,7 @@ def load_pool(path: str | Path) -> SamplePool:
         warnings.simplefilter("ignore")
         try:
             return SamplePool(
-                values=values.copy(),
+                values=values,
                 kind=meta.get("kind"),
                 generation=generation,
                 law_fingerprint=fingerprint,

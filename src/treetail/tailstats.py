@@ -97,8 +97,9 @@ def hill_curve(samples, points: int = 9) -> dict[int, float]:
     """Hill estimates over a geometric sweep of k in [n/200, n/10].
 
     ``samples`` is left unchanged, and a contiguous float array is not
-    copied: every k reads only the top n/10 + 1 positive values, which are
-    gathered once, and ``hill`` is called once per k on them.
+    copied: the top n/10 + 1 positive values are gathered once and sorted,
+    and ``hill`` is called once per k on that sorted copy, so it costs the
+    same whether ``samples`` itself is sorted or not.
     """
     arr = _as_samples(samples, "samples")
     n_pos = int(np.count_nonzero(arr > 0))
@@ -108,6 +109,7 @@ def hill_curve(samples, points: int = 9) -> dict[int, float]:
     hi = max(lo, min(n_pos - 1, n_pos // 10))
     ks = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
     top = _top_positive(arr, hi + 1)
+    top.sort()
     return {int(k): hill(top, int(k)) for k in ks}
 
 
@@ -183,8 +185,20 @@ def _clean_grid(quantile_grid) -> np.ndarray:
     return grid
 
 
-def _exceedances(sorted_samples: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return sorted_samples.size - np.searchsorted(sorted_samples, x, side="right")
+def _exceedances(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The count of ``samples`` that are not <= each threshold of the increasing ``x``.
+
+    ``samples`` need not be sorted and is left unchanged. Only the values
+    that are not <= ``x[0]`` are gathered, through a one-byte mask per
+    sample, and only that tail is sorted. NaNs are never <= a threshold,
+    so they count as exceeding every x, as they would sorted last; a NaN
+    threshold is exceeded by nothing, as ``searchsorted`` places it last.
+    """
+    outside = np.less_equal(samples, x[0])
+    tail = samples[np.logical_not(outside, out=outside)]
+    del outside
+    tail.sort()
+    return tail.size - np.searchsorted(tail, x, side="right")
 
 
 def _dedupe_increasing(x: np.ndarray) -> np.ndarray:
@@ -207,10 +221,13 @@ def _half_decades(p_max: float, n: int) -> np.ndarray:
 
 def _ratio_at(num: np.ndarray, den, grid: np.ndarray, min_exceedances: int,
               bootstrap_b: int, level: float, rng: np.random.Generator) -> TailReport:
-    """Ratio of the sorted ``num`` at the denominator's ``grid`` quantiles.
+    """Ratio of ``num`` at the denominator's ``grid`` quantiles.
 
-    ``den`` is either sorted samples or a (ccdf, quantile) pair for an exact
+    ``den`` is either samples or a (ccdf, quantile) pair for an exact
     denominator, which is exempt from the exceedance floor and the bootstrap.
+    Neither sample is sorted: the x-grid is read by ``np.quantile``, which
+    selects in one unsorted copy of ``den``, and each side's exceedances
+    sort only its values above the smallest x (see ``_exceedances``).
     """
     analytic = isinstance(den, tuple)
     if analytic:
@@ -301,13 +318,18 @@ def tail_ratio(
     counts at a fixed threshold are exactly binomial, so they are drawn
     directly rather than by materializing each resample.
 
+    Neither sample is sorted or changed. Reading the x-grid selects in one
+    unsorted copy of ``den_samples``; the exceedance counts gather and sort
+    only the values above the smallest x, and the Hill curve only the top
+    tenth of the positive ``num_samples``.
+
     With ``trend_rng`` the report also carries ``trend``: the same ratio and
     band on the half-decade ladder p_max * 10^(-j/2) below the largest grid
     probability, down to the last rung that keeps the exceedance floor,
     bootstrapped from ``trend_rng`` so the grid's band is unchanged.
     """
-    num = np.sort(_as_samples(num_samples, "num_samples"))
-    den = np.sort(_as_samples(den_samples, "den_samples"))
+    num = _as_samples(num_samples, "num_samples")
+    den = _as_samples(den_samples, "den_samples")
     return _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, rng,
                         with_hill, trend_rng)
 
@@ -328,8 +350,11 @@ def tail_ratio_analytic(
 
     Same contract as ``tail_ratio`` but the denominator is exact, so the
     exceedance floor and the bootstrap apply to the numerator side only.
+    ``num_samples`` is not sorted or changed: only its values above the
+    smallest x, and the top tenth of its positive values for the Hill
+    curve, are gathered and sorted.
     """
-    num = np.sort(_as_samples(num_samples, "num_samples"))
+    num = _as_samples(num_samples, "num_samples")
     return _tail_report(num, (den_ccdf, den_quantile), quantile_grid, min_exceedances,
                         bootstrap_b, level, rng, with_hill, trend_rng)
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from treetail.errors import DegenerateTail, DomainError
+from treetail import tailstats
+from treetail.errors import DegenerateTail, DomainError, EmptyGrid
 
 
 def _ks_by_searchsorted(a, b) -> float:
@@ -53,3 +56,95 @@ def _hill_curve_by_partition(samples, points: int = 9) -> dict[int, float]:
 def hill_reference():
     """The copy-and-partition (hill, hill_curve) that ``hill`` and ``hill_curve`` must match exactly."""
     return _hill_by_partition, _hill_curve_by_partition
+
+
+def _sorted_exceedances(sorted_samples, x):
+    return sorted_samples.size - np.searchsorted(sorted_samples, x, side="right")
+
+
+def _ratio_at_sorted(num, den, grid, min_exceedances, bootstrap_b, level, rng):
+    """The tail ratio of the sorted ``num`` against sorted samples or a (ccdf, quantile) pair."""
+    analytic = isinstance(den, tuple)
+    if analytic:
+        den_ccdf, den_quantile = den
+        x = np.asarray([float(den_quantile(1.0 - p)) for p in grid])
+    else:
+        x = np.quantile(den, 1.0 - grid, method="higher")
+    keep = tailstats._dedupe_increasing(x)
+    grid, x = grid[keep], x[keep]
+
+    c_num = _sorted_exceedances(num, x)
+    if analytic:
+        p_den = np.asarray([float(den_ccdf(v)) for v in x])
+        keep = (c_num >= min_exceedances) & (p_den > 0.0)
+        if not np.any(keep):
+            raise EmptyGrid("no grid point retains the minimum exceedance count in the numerator")
+        p_den = p_den[keep]
+    else:
+        c_den = _sorted_exceedances(den, x)
+        keep = (c_num >= min_exceedances) & (c_den >= min_exceedances)
+        if not np.any(keep):
+            raise EmptyGrid("no grid point retains the minimum exceedance count in both samples")
+        p_den = c_den[keep] / den.size
+    grid, x = grid[keep], x[keep]
+
+    p_num = c_num[keep] / num.size
+    ratio = p_num / p_den
+
+    lo_q, hi_q = tailstats._band_levels(level)
+    boot_num = rng.binomial(num.size, p_num, size=(bootstrap_b, x.size)) / num.size
+    if analytic:
+        boot = boot_num / p_den
+    else:
+        boot_den = rng.binomial(den.size, p_den, size=(bootstrap_b, x.size)) / den.size
+        boot_den = np.maximum(boot_den, 1.0 / den.size)
+        boot = boot_num / boot_den
+    ci_low = np.minimum(np.percentile(boot, lo_q, axis=0), ratio)
+    ci_high = np.maximum(np.percentile(boot, hi_q, axis=0), ratio)
+
+    return tailstats.TailReport(
+        quantile_grid=tuple(grid),
+        x_grid=tuple(float(v) for v in x),
+        ccdf_num=tuple(p_num),
+        ccdf_den=tuple(p_den),
+        ratio=tuple(ratio),
+        ratio_ci_low=tuple(ci_low),
+        ratio_ci_high=tuple(ci_high),
+        n_samples=(num.size, 0 if analytic else den.size),
+        min_exceedances=min_exceedances,
+    )
+
+
+def _tail_report_sorted(num, den, quantile_grid, min_exceedances=100, bootstrap_b=1000,
+                        level=0.95, rng=None, with_hill=True, trend_rng=None):
+    if min_exceedances < 1:
+        raise DomainError("min_exceedances must be >= 1")
+    if bootstrap_b < 200:
+        raise DomainError("bootstrap B must be >= 200")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    report = _ratio_at_sorted(num, den, tailstats._clean_grid(quantile_grid), min_exceedances,
+                              bootstrap_b, level, rng)
+    trend = None
+    if trend_rng is not None:
+        n = num.size if isinstance(den, tuple) else min(num.size, den.size)
+        ladder = tailstats._half_decades(report.quantile_grid[0], n)
+        trend = _ratio_at_sorted(num, den, ladder, min_exceedances, bootstrap_b, level, trend_rng)
+    curve = _hill_curve_by_partition(num) if with_hill else {}
+    return replace(report, hill_curve=curve, trend=trend)
+
+
+def _tail_ratio_sorted(num_samples, den_samples, quantile_grid, **kwargs):
+    num = np.sort(tailstats._as_samples(num_samples, "num_samples"))
+    den = np.sort(tailstats._as_samples(den_samples, "den_samples"))
+    return _tail_report_sorted(num, den, quantile_grid, **kwargs)
+
+
+def _tail_ratio_analytic_sorted(num_samples, den_ccdf, den_quantile, quantile_grid, **kwargs):
+    num = np.sort(tailstats._as_samples(num_samples, "num_samples"))
+    return _tail_report_sorted(num, (den_ccdf, den_quantile), quantile_grid, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def tail_ratio_reference():
+    """The sort-first (tail_ratio, tail_ratio_analytic) that the tail-only ones must match exactly."""
+    return _tail_ratio_sorted, _tail_ratio_analytic_sorted

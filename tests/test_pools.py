@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +138,72 @@ def test_load_rejects_non_finite_values(tmp_path):
     path.write_bytes(_pool_bytes(_meta(), values=(1.0, np.nan, 3.0)))
     with pytest.raises(PoolFormatError, match="finite"):
         load_pool(path)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [4, 2, 0, -3, 1_000_000, 10 ** 12],
+                         ids=["one-more", "one-fewer", "zero", "negative", "million", "trillion"])
+def test_load_checks_the_count_before_allocating_the_values(tmp_path, count):
+    path = tmp_path / "pool.bin"
+    path.write_bytes(_pool_bytes(_meta(count=count)))  # three values on disk
+    with pytest.raises(PoolFormatError, match=f"expected {count} values, found 3"):
+        load_pool(path)
+    # an array of ``count`` values would be 8 MB at a million
+    assert _peak_bytes(_try_load, path) < 2 ** 16
+
+
+def _try_load(path):
+    try:
+        load_pool(path)
+    except PoolFormatError:
+        pass
+
+
+@pytest.mark.parametrize("extra", [1, 4, 7])
+def test_load_rejects_a_payload_that_is_not_whole_values(tmp_path, extra):
+    path = tmp_path / "pool.bin"
+    path.write_bytes(_pool_bytes(_meta(count=10 ** 12)) + b"\x00" * extra)
+    with pytest.raises(PoolFormatError, match="truncated"):
+        load_pool(path)
+    assert _peak_bytes(_try_load, path) < 2 ** 16
+
+
+def test_load_reads_the_payload_once(tmp_path):
+    values = np.random.default_rng(3).random(1_000_000)
+    pool = make_pool(values=values, kind=KIND_R_STAR)
+    path = tmp_path / "pool.bin"
+    save_pool(pool, path)
+    # read() plus frombuffer plus a writable copy peaked at 16.2 MiB, two
+    # payloads; one payload is 7.6 MiB, and the finiteness check adds 1 MiB
+    assert _peak_bytes(load_pool, path) <= 1.2 * values.nbytes
+    back = load_pool(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert not back.values.flags.writeable
+    assert back.values.dtype == np.float64 and back.values.flags.c_contiguous
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_reads_a_pool_from_a_pipe(tmp_path):
+    pool = make_pool()
+    path, fifo = tmp_path / "pool.bin", tmp_path / "pool.fifo"
+    save_pool(pool, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    back = load_pool(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.values.tobytes() == pool.values.tobytes()
+    assert not back.values.flags.writeable
 
 
 _JSON = st.recursive(

@@ -22,7 +22,7 @@ from treetail import (
     tail_ratio_analytic,
 )
 from treetail import tailstats
-from treetail.errors import DegenerateTail, DomainError, EmptyGrid, NonPositive
+from treetail.errors import DegenerateTail, DomainError, EmptyGrid, NonPositive, TreetailError
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -86,10 +86,10 @@ def test_hill_curve_equals_hill_at_each_k():
     assert curve == {k: hill(samples, k) for k in curve}
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
-    except (DomainError, DegenerateTail) as exc:
+        return fn(*args, **kwargs)
+    except TreetailError as exc:
         return type(exc), str(exc)
 
 
@@ -141,11 +141,12 @@ def test_hill_falls_back_when_the_subsample_misleads(hill_reference):
     assert hill(arr, 500) == ref_hill(arr, 500)
 
 
-def _peak_bytes(fn, *args) -> int:
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    """The traced peak of ``fn`` above what was allocated when it was called."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,6 +440,134 @@ def test_tail_report_invariants():
         TailReport(**two)  # x grid must increase
     with pytest.raises(DomainError):
         TailReport(**{**good, "ccdf_num": (0.0005,)})  # below the floor
+
+
+# 2.0 is the analytic denominator's x at p = 0.25, so ties fall on a threshold
+_TAIL_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 8.0, math.inf, -math.inf]),
+    st.floats(min_value=-10.0, max_value=100.0, allow_nan=False),
+)
+# grids whose points fall near the exceedance floor of samples of a few dozen
+_TAIL_GRIDS = st.lists(st.sampled_from([0.4, 0.25, 0.2, 0.1, 0.05, 0.01]), min_size=1, max_size=3)
+# positions set to NaN; any NaN in an empirical denominator makes every x NaN
+_NAN_AT = st.lists(st.integers(min_value=0, max_value=79), max_size=3)
+
+
+def _with_nans(values, nan_at, order):
+    arr = np.asarray(values, dtype=float)
+    arr[np.asarray(nan_at, dtype=int) % arr.size] = np.nan
+    return _arrange(arr, order)
+
+
+def _tail_kwargs(min_exceedances, trend, with_hill):
+    return dict(min_exceedances=min_exceedances, bootstrap_b=200, rng=RNG(3),
+                trend_rng=RNG(4) if trend else None, with_hill=with_hill)
+
+
+# subnormal values overflow the Hill ratio in both versions alike
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.lists(_TAIL_VALUES, min_size=10, max_size=80),
+    den=st.lists(_TAIL_VALUES, min_size=20, max_size=80),
+    num_nan_at=_NAN_AT,
+    den_nan_at=st.sampled_from([()] * 6 + [(0,), (31,)]),
+    order_num=_ORDERS,
+    order_den=_ORDERS,
+    grid=_TAIL_GRIDS,
+    min_exceedances=st.integers(min_value=1, max_value=12),
+    trend=st.booleans(),
+    with_hill=st.booleans(),
+)
+def test_tail_ratio_equals_the_sort_first_reference(
+        tail_ratio_reference, num, den, num_nan_at, den_nan_at, order_num, order_den, grid,
+        min_exceedances, trend, with_hill):
+    ref_ratio, _ = tail_ratio_reference
+    num, den = _with_nans(num, num_nan_at, order_num), _with_nans(den, den_nan_at, order_den)
+    kept_num, kept_den = num.copy(), den.copy()
+    got = _outcome(tail_ratio, num, den, grid, **_tail_kwargs(min_exceedances, trend, with_hill))
+    assert got == _outcome(ref_ratio, num, den, grid,
+                           **_tail_kwargs(min_exceedances, trend, with_hill))
+    assert np.array_equal(num, kept_num, equal_nan=True)
+    assert np.array_equal(den, kept_den, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.lists(_TAIL_VALUES, min_size=10, max_size=80),
+    nan_at=_NAN_AT,
+    order=_ORDERS,
+    grid=_TAIL_GRIDS,
+    min_exceedances=st.integers(min_value=1, max_value=12),
+    trend=st.booleans(),
+    with_hill=st.booleans(),
+)
+def test_tail_ratio_analytic_equals_the_sort_first_reference(
+        tail_ratio_reference, num, nan_at, order, grid, min_exceedances, trend, with_hill):
+    _, ref_analytic = tail_ratio_reference
+    num = _with_nans(num, nan_at, order)
+    kept = num.copy()
+    den = Pareto(2.0, 1.0)
+    got = _outcome(tail_ratio_analytic, num, den.ccdf, den.quantile, grid,
+                   **_tail_kwargs(min_exceedances, trend, with_hill))
+    assert got == _outcome(ref_analytic, num, den.ccdf, den.quantile, grid,
+                           **_tail_kwargs(min_exceedances, trend, with_hill))
+    assert np.array_equal(num, kept, equal_nan=True)
+
+
+def test_tail_ratio_counts_nans_as_exceeding_every_x(tail_ratio_reference):
+    # a fifth of the numerator is NaN: they exceed both thresholds, as they
+    # would sorted last; gathering with ``samples > x`` would drop them
+    num = np.concatenate([np.arange(1.0, 9.0), [np.nan, np.nan]])
+    RNG(6).shuffle(num)
+    den = Uniform(0.0, 10.0)
+    rep = tail_ratio_analytic(num, den.ccdf, den.quantile, (0.4, 0.2), min_exceedances=1,
+                              bootstrap_b=200, with_hill=False)
+    assert rep.x_grid == (6.0, 8.0)
+    assert rep.ccdf_num == (0.4, 0.2)
+    _, ref_analytic = tail_ratio_reference
+    assert rep == ref_analytic(num, den.ccdf, den.quantile, (0.4, 0.2), min_exceedances=1,
+                               bootstrap_b=200, with_hill=False)
+    # a NaN in the empirical denominator makes every x NaN, which nothing exceeds
+    with pytest.raises(EmptyGrid):
+        tail_ratio(num, num, (0.4,), min_exceedances=1, bootstrap_b=200)
+
+
+@pytest.mark.parametrize("order", ["as drawn", "sorted", "reversed"])
+def test_tail_ratio_equals_the_reference_on_pipeline_sized_samples(tail_ratio_reference, order):
+    ref_ratio, ref_analytic = tail_ratio_reference
+    dist = Pareto(2.0, 1.0)
+    den = np.floor(dist.sample_many(RNG(19), 200_000))  # heavy ties, like Z_N
+    num = _arrange(2.0 * dist.sample_many(RNG(20), 300_000), order)
+
+    def kwargs():
+        return dict(bootstrap_b=300, rng=RNG(21), trend_rng=RNG(22))
+
+    assert tail_ratio(num, den, (0.01, 0.001), **kwargs()) == ref_ratio(
+        num, den, (0.01, 0.001), **kwargs())
+    grid = (0.01, 0.003, 0.001)
+    assert tail_ratio_analytic(num, dist.ccdf, dist.quantile, grid, **kwargs()) == ref_analytic(
+        num, dist.ccdf, dist.quantile, grid, **kwargs())
+
+
+def test_tail_ratio_analytic_peak_memory():
+    dist = Pareto(2.0, 1.0)
+    x = dist.sample_many(RNG(23), 2_000_000)
+    # sorting a full copy of the 15.3 MiB sample peaked at 21.0 MiB
+    peak = _peak_bytes(tail_ratio_analytic, x, dist.ccdf, dist.quantile, (0.01, 0.001),
+                             rng=RNG(24), trend_rng=RNG(25))
+    assert peak <= 8 * 2 ** 20
+
+
+def test_tail_ratio_peak_memory():
+    num = pareto_samples(2.0, 1_000_000, seed=26)
+    den = pareto_samples(2.0, 1_000_000, seed=27)
+    # sorted copies of both 7.6 MiB samples peaked at 22.9 MiB; what is left
+    # is the one copy of den that np.quantile selects in
+    peak = _peak_bytes(tail_ratio, num, den, (0.01, 0.001), rng=RNG(28),
+                             trend_rng=RNG(29))
+    assert peak <= 10 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
