@@ -45,6 +45,8 @@ def _guard(fn):
 @_guard
 def cli(ctx, seed, threads, fmt):
     """Tail-asymptotics toolkit for branching-tree fixed points."""
+    if seed is not None and seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {seed}")
     if threads is not None and threads < 1:
         raise DomainError(f"--threads must be at least 1, got {threads}")
     ctx.ensure_object(dict)

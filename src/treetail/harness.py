@@ -30,10 +30,21 @@ chain holds one pool at a time and both are dropped after step KS_STEPS.
 Streams are keyed by (purpose, generation, block), so this order changes no
 sampled value.
 
+A sum scenario never holds its sums. They are drawn one fixed block at a
+time, in order, and each block goes into a ``tailstats.TailSketchBuilder``
+and a running mean and sum of squared deviations (the pairwise update of
+Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
+Am. Stat. 37, 1983). The sketch keeps every sum above the analytic
+denominator's smallest x and the top tenth that the Hill curve reads, and
+the tail ratio, the Hill curve and the Hill pin read only it.
+``_Sampled.sketch`` is that sketch, or in a tree scenario the sketch of the
+final R pool's top values.
+
 Determinism: a report is a pure function of (config, seed). ``replicas`` is
-a worker-count hint; every pool, the Z_N denominator and the one-shot sums
-are drawn in fixed blocks with their own derived streams by one scheduler,
+a worker-count hint; every pool and the Z_N denominator are drawn in fixed
+blocks with their own derived streams by one scheduler,
 ``simulate._run_blocks``, so any replica/thread count yields identical bytes.
+The one-shot sums use the same blocks and streams, drawn in turn.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from .distributions import Distribution, dist_from_json
 from .errors import ConfigError, DomainError, EmptyGrid, RegimeMismatch
 from .pools import KIND_R_PARTIAL, KIND_W
 from .streams import StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
-from .tailstats import TailReport
+from .tailstats import TailReport, TailSketch
 
 __all__ = [
     "DOMINANT_ZN",
@@ -352,7 +363,7 @@ def write_report(report: VerificationReport, outdir) -> Path:
 class _Sampled(NamedTuple):
     """What a tree or sum scenario measured; ``run_scenario`` builds the report."""
 
-    values: np.ndarray  # the sample whose Hill index is pinned
+    sketch: TailSketch  # of the sample whose Hill index is pinned
     tail: TailReport
     target: float
     mean_checks: list[MeanCheck]
@@ -388,7 +399,7 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
     run = _run_sum_scenario if config.dominant == DOMINANT_SUM else _run_tree_scenario
     sampled = run(config, regime, constants, streams, threads)
 
-    hill_k, hill_est, hill_ok = _hill_pin(sampled.values, config.alpha)
+    hill_k, hill_est, hill_ok = _hill_pin(sampled.sketch, config.alpha)
     summary = dict(sampled.tail.hill_curve)
     summary[hill_k] = hill_est
     verdicts = {
@@ -416,32 +427,71 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
     )
 
 
-def _mean_check(kind: str, n: int, predicted: float, values: np.ndarray,
+class _Moments(NamedTuple):
+    """Size, mean and unbiased variance s^2 of a sample."""
+
+    size: int
+    mean: float
+    s2: float
+
+
+def _moments(values: np.ndarray) -> _Moments:
+    s2 = float(values.var(ddof=1)) if values.size > 1 else 0.0
+    return _Moments(values.size, float(values.mean()), s2)
+
+
+class _RunningMoments:
+    """The moments of a sample fed in blocks, never held whole.
+
+    Each block's mean and sum of squared deviations M2 are merged into the
+    running ones by the pairwise update of Chan, Golub & LeVeque:
+    with d = mean_b - mean_a, mean = mean_a + d n_b / n and
+    M2 = M2_a + M2_b + d^2 n_a n_b / n.
+    """
+
+    def __init__(self):
+        self.size, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        n_b = block.size
+        mean_b = float(block.mean())
+        dev = block - mean_b
+        m2_b = float(np.sum(np.multiply(dev, dev, out=dev)))
+        n = self.size + n_b
+        delta = mean_b - self.mean
+        self.mean += delta * n_b / n
+        self.m2 += m2_b + delta * delta * self.size * n_b / n
+        self.size = n
+
+    def moments(self) -> _Moments:
+        return _Moments(self.size, self.mean, self.m2 / (self.size - 1) if self.size > 1 else 0.0)
+
+
+def _mean_check(kind: str, n: int, predicted: float, moments: _Moments,
                 prev_var: float = 0.0, rho: float = 0.0) -> MeanCheck:
-    """Check a pool mean against its prediction at four standard errors.
+    """Check a sample mean against its prediction at four standard errors.
 
     Pool members share their parent pool, so the mean's variance is the
     fresh-draw part s^2/M plus rho^2 times the parent mean's variance
     (exact conditional decomposition); the naive s/sqrt(M) alone can be a
     severalfold underestimate by generation ten.
     """
-    observed = float(values.mean())
-    s2 = float(values.var(ddof=1)) if values.size > 1 else 0.0
-    var_mean = s2 / values.size + rho * rho * prev_var
+    var_mean = moments.s2 / moments.size + rho * rho * prev_var
     stderr = math.sqrt(var_mean)
     tol = 4.0 * stderr + 1e-12 * max(1.0, abs(predicted))
+    observed = moments.mean
     return MeanCheck(kind, n, float(predicted), observed, stderr, bool(abs(observed - predicted) <= tol))
 
 
 def _gap_check(step: int, gap: np.ndarray, prev_var: float, rho: float) -> CoupledGap:
-    check = _mean_check("GAP", step, KS_START * rho ** step, gap, prev_var=prev_var, rho=rho)
+    check = _mean_check("GAP", step, KS_START * rho ** step, _moments(gap), prev_var=prev_var, rho=rho)
     return CoupledGap(step, check.predicted, check.observed, check.stderr, float(gap.min()))
 
 
-def _hill_pin(values: np.ndarray, alpha: float) -> tuple[int, float, bool]:
-    n_pos = int(np.count_nonzero(values > 0))
-    k = min(HILL_K, max(2, n_pos // 10))
-    est = tailstats.hill(values, k)
+def _hill_pin(sketch: TailSketch, alpha: float) -> tuple[int, float, bool]:
+    """The Hill estimate at k = min(HILL_K, max(2, n_pos // 10)); the sketch holds its top k + 1."""
+    k = min(HILL_K, max(2, sketch.n_pos // 10))
+    est = tailstats.hill(sketch, k)
     return k, est, bool(abs(est / alpha - 1.0) <= HILL_RTOL)
 
 
@@ -469,7 +519,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
     var_w = float(w_pool.values.var(ddof=1)) / size
     for n in range(1, min(config.depth, MEAN_CHECK_MAX_N) + 1):
         w_pool = simulate.evolve_pool_w(law, w_pool, streams, threads)
-        check = _mean_check("W", n, asymptotics.mean_w(law, n), w_pool.values,
+        check = _mean_check("W", n, asymptotics.mean_w(law, n), _moments(w_pool.values),
                             prev_var=var_w, rho=regime.rho)
         var_w = check.stderr ** 2
         mean_checks.append(check)
@@ -509,8 +559,8 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
                 coupled_gap = tuple(coupled_gap)
         r_pool = simulate.evolve_pool_r(law, r_pool, streams, threads)
         if n <= MEAN_CHECK_MAX_N:
-            check = _mean_check("R", n, asymptotics.mean_r_partial(law, n), r_pool.values,
-                                prev_var=var_r, rho=regime.rho)
+            check = _mean_check("R", n, asymptotics.mean_r_partial(law, n),
+                                _moments(r_pool.values), prev_var=var_r, rho=regime.rho)
             var_r = check.stderr ** 2
             mean_checks.append(check)
 
@@ -549,7 +599,8 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
             and ks_series[KS_STEPS] < KS_TOLERANCE
             and ks_cross[KS_STEPS] < KS_TOLERANCE
         )
-    return _Sampled(r_pool.values, tail, constants.h_limit, mean_checks, verdicts,
+    pinned = TailSketch.of(r_pool.values, keep=HILL_K + 1)
+    return _Sampled(pinned, tail, constants.h_limit, mean_checks, verdicts,
                     decay, ks_series, ks_cross, coupled_gap)
 
 
@@ -575,15 +626,24 @@ def _run_sum_scenario(config, regime, constants, streams, threads) -> _Sampled:
             raise RegimeMismatch("the law's additive-input tail does not match x_dist's index")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
 
-    sums = simulate._run_blocks(
-        lambda block, lo, hi: simulate.sample_weighted_sum(
-            law, x_dist, streams.child(TAG_SUM, 0, block), size=hi - lo),
-        config.pool_size, threads)
+    # the smallest x the tail ratio reads, as it reads it
+    x_min = float(x_dist.quantile(1.0 - max(config.quantile_grid)))
+    builder = tailstats.TailSketchBuilder(floor=x_min,
+                                          keep=tailstats.hill_curve_keep(config.pool_size))
+    moments = _RunningMoments()
+    for block, (lo, hi) in enumerate(simulate._block_ranges(config.pool_size)):
+        sums = simulate.sample_weighted_sum(
+            law, x_dist, streams.child(TAG_SUM, 0, block), size=hi - lo)
+        builder.add(sums)
+        moments.add(sums)
+        del sums  # before the next block is drawn
+    sketch = builder.build()
 
     tail = tailstats.tail_ratio_analytic(
-        sums, x_dist.ccdf, x_dist.quantile, config.quantile_grid,
+        sketch, x_dist.ccdf, x_dist.quantile, config.quantile_grid,
         bootstrap_b=config.bootstrap_b, rng=streams.child(TAG_BOOTSTRAP, 0, 0),
         trend_rng=streams.child(TAG_BOOTSTRAP, 2, 0))
 
     predicted_mean = regime.rho * e_x + law.q_mean()
-    return _Sampled(sums, tail, target, [_mean_check("SUM", 0, predicted_mean, sums)], {})
+    check = _mean_check("SUM", 0, predicted_mean, moments.moments())
+    return _Sampled(sketch, tail, target, [check], {})

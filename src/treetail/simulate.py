@@ -125,6 +125,7 @@ def sample_weighted_sum(law, x_dist, rng, size: int | None = None):
     q, n, weights = law.draw_roots(m, rng)
     x = x_dist.sample_many(rng, int(n.sum()))
     x *= weights  # x is a fresh draw: the products and the sums reuse arrays
+    del weights
     totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
     totals += q
     return float(totals[0]) if scalar else totals
@@ -139,18 +140,27 @@ def _block_ranges(size: int):
 
 
 def _run_blocks(worker, size: int, threads: int) -> np.ndarray:
-    """Concatenate ``worker(block, lo, hi)`` over the fixed blocks of ``size``.
+    """Fill one array of ``size`` with ``worker(block, lo, hi)`` over the fixed blocks.
 
-    The one block scheduler of the package: each worker derives its stream
-    from its block index, so the thread count never changes a value.
+    The one block scheduler of the pools: each worker derives its stream
+    from its block index, so the thread count never changes a value. Each
+    block is copied into the preallocated output as soon as it is drawn, so
+    besides the output only the blocks in flight are held.
     """
     ranges = _block_ranges(size)
+    out = np.empty(size)
+
+    def fill(block):
+        lo, hi = ranges[block]
+        out[lo:hi] = worker(block, lo, hi)
+
     if threads <= 1 or len(ranges) == 1:
-        parts = [worker(b, lo, hi) for b, (lo, hi) in enumerate(ranges)]
+        for block in range(len(ranges)):
+            fill(block)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ib: worker(ib[0], *ib[1]), enumerate(ranges)))
-    return np.concatenate(parts)
+            list(pool.map(fill, range(len(ranges))))
+    return out
 
 
 def init_pool(

@@ -10,6 +10,14 @@ The x-grid convention: ratios are evaluated at empirical (or analytic)
 quantiles of the *denominator* tail, so two curves with the same tail index
 are compared at matched exceedance probabilities instead of arbitrary
 absolute thresholds.
+
+The tail estimators read only the top of a sample, so they read it through
+a ``TailSketch``: the sample's counts and its values above a cutoff,
+sorted. The tail ratio, the Hill estimator and the Hill curve take either
+a sample, which they sketch in one gather, or a sketch, which a
+``TailSketchBuilder`` can build from blocks without ever holding the whole
+sample. A question about values below a sketch's cutoff raises instead of
+miscounting.
 """
 
 from __future__ import annotations
@@ -23,9 +31,12 @@ import numpy as np
 from .errors import DegenerateTail, DomainError, EmptyGrid, NonPositive
 
 __all__ = [
+    "TailSketch",
+    "TailSketchBuilder",
     "TailReport",
     "hill",
     "hill_curve",
+    "hill_curve_keep",
     "tail_ratio",
     "tail_ratio_analytic",
     "ks_distance",
@@ -42,50 +53,299 @@ def _as_samples(x, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hill estimator
+# tail sketches
 # ---------------------------------------------------------------------------
 
-# the strided subsample that sets the candidate threshold of ``_top_positive``
+# the strided subsample that sets the candidate threshold of ``_candidates``
 _TOP_SUBSAMPLE = 1 << 16
 
 
-def _top_positive(arr: np.ndarray, m: int) -> np.ndarray:
-    """The m largest positive entries of ``arr`` in no order, or all of them if fewer.
+def _split(values: np.ndarray, cutoff: float) -> tuple[np.ndarray, int]:
+    """The entries of ``values`` above ``cutoff``, and the count of those equal to it."""
+    return values[values > cutoff], int(np.count_nonzero(values == cutoff))
 
-    A threshold read off a strided subsample of about 2^16 values keeps a
-    few more than m candidates, so neither a copy of the positives nor a
-    partition of the full sample is made; if fewer than m values clear the
-    threshold, every positive value is returned instead. Either way the
-    result holds exactly the top m positive values, ties included.
+
+def _candidates(arr: np.ndarray, m: int) -> tuple[float, np.ndarray, int]:
+    """(t, the entries of ``arr`` above t, the count equal to t), with m or more non-NaN entries >= t.
+
+    A threshold t read off a strided subsample of about 2^16 values leaves a
+    few more than m values at or above it, so the full sample is neither
+    copied nor partitioned, and a run of values tied at t is counted, not
+    gathered. If fewer than m values reach the threshold, t is -inf instead.
+    ``arr`` must hold at least m non-NaN values.
     """
     sub = arr[::max(1, arr.size // _TOP_SUBSAMPLE)]
     expected = m * sub.size / arr.size  # of the top m, expected in the subsample
     rank = math.ceil(expected + 4.0 * math.sqrt(expected) + 8.0)
-    sub = sub[sub > 0]
+    sub = sub[~np.isnan(sub)]
     if rank <= sub.size:
         sub.partition(sub.size - rank)
-        threshold = sub[sub.size - rank]
-        del sub  # freed before the full-size mask below
-        top = arr[arr >= threshold]
-        if top.size >= m:
-            return top
-    return arr[arr > 0]
+        threshold = float(sub[sub.size - rank])
+        del sub  # freed before the full-size masks below
+        above, ties = _split(arr, threshold)
+        if above.size + ties >= m:
+            return threshold, above, ties
+    return (-math.inf, *_split(arr, -math.inf))
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of the NaN-free ``values``, which are partitioned in place."""
+    values.partition(values.size - k)
+    return float(values[values.size - k])
+
+
+# the stretch of a sketch buffer that ``_keep_in_place`` filters at a time
+_COMPACT_CHUNK = 1 << 16
+
+
+def _keep_in_place(values: np.ndarray, cutoff: float) -> int:
+    """Move the entries of ``values`` above ``cutoff`` to its front; returns their count.
+
+    The buffer is filtered one chunk at a time, so no full-size mask or copy
+    is made; a chunk is copied out before anything is written over it.
+    """
+    size = 0
+    for lo in range(0, values.size, _COMPACT_CHUNK):
+        chunk = values[lo:lo + _COMPACT_CHUNK]
+        chunk = chunk[chunk > cutoff]
+        values[size:size + chunk.size] = chunk
+        size += chunk.size
+    return size
+
+
+def _higher_index(n: int, q: np.ndarray) -> np.ndarray:
+    """The index of ``np.quantile``'s ``method="higher"`` in a sorted sample of n."""
+    return np.ceil((n - 1) * q).astype(np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class TailSketch:
+    """The counts of a whole sample and its values above a cutoff, sorted.
+
+    ``n``, ``n_pos`` and ``n_nan`` count the sample, its positive values and
+    its NaNs, and ``n_at`` the values equal to ``cutoff``. ``top`` holds, in
+    ascending order, every value above the cutoff; nothing below it is kept.
+    A run of values tied at the cutoff, such as an atom of the law, is thus
+    counted and never stored. A sketch answers the three questions the tail
+    estimators ask, and raises a ``DomainError`` for any question whose
+    answer would need a value below the cutoff:
+
+    * ``exceedances``: how many values are not <= each threshold;
+    * ``quantile_higher``: numpy's ``method="higher"`` quantiles;
+    * ``top_positive``: the largest positive values, for the Hill estimator.
+
+    Sketches are built by ``TailSketch.of`` from an array in one gather, or
+    by a ``TailSketchBuilder`` from blocks; see the builder for the cutoff.
+    """
+
+    n: int
+    n_pos: int
+    n_nan: int
+    cutoff: float
+    n_at: int
+    top: np.ndarray
+
+    @classmethod
+    def of(cls, samples, floor: float = math.inf, keep: int = 0) -> "TailSketch":
+        """The sketch of one array; ``floor`` and ``keep`` as in ``TailSketchBuilder``."""
+        builder = TailSketchBuilder(floor, keep)
+        builder.add(samples)
+        return builder.build()
+
+    def exceedances(self, x: np.ndarray) -> np.ndarray:
+        """The count of values that are not <= each threshold of ``x``.
+
+        NaNs are never <= a threshold, so they count as exceeding every x;
+        a NaN threshold is exceeded by nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        known = ~np.isnan(x)
+        if np.any(x[known] < self.cutoff):
+            raise DomainError(f"a threshold of {float(np.min(x[known]))!r} lies below the "
+                              f"sketch cutoff {self.cutoff!r}")
+        counts = self.n_nan + self.top.size - np.searchsorted(self.top, x, side="right")
+        counts[~known] = 0
+        return counts
+
+    def quantile_higher(self, q: np.ndarray) -> np.ndarray:
+        """``np.quantile(sample, q, method="higher")``, read off the sorted top.
+
+        That is the order statistic at index ceil((n - 1) q), computed as
+        numpy computes it; any NaN in the sample makes every quantile NaN.
+        """
+        q = np.asarray(q, dtype=float)
+        if self.n_nan:
+            return np.full(q.shape, np.nan)
+        index = _higher_index(self.n, q)
+        first = self.n - self.top.size  # the index of top[0] in the sorted sample
+        if np.any(index < first - self.n_at):
+            raise DomainError(f"a quantile at index {int(np.min(index))} of {self.n} lies below "
+                              f"the sketch cutoff {self.cutoff!r}")
+        x = np.full(index.shape, self.cutoff)  # ties at the cutoff fill the indices below top
+        held = index >= first
+        x[held] = self.top[index[held] - first]
+        return x
+
+    def top_positive(self, m: int) -> np.ndarray:
+        """The m largest positive values, in ascending order."""
+        above = self.top.size - int(np.searchsorted(self.top, 0.0, side="right"))
+        if m <= above:
+            return self.top[self.top.size - m:]
+        tied = self.n_at if self.cutoff > 0 else 0
+        if m > above + tied:
+            raise DomainError(f"the sketch holds {above + tied} of the {m} largest positive "
+                              f"values (cutoff {self.cutoff!r})")
+        return np.concatenate([np.full(m - above, self.cutoff), self.top[self.top.size - above:]])
+
+
+class TailSketchBuilder:
+    """Builds a ``TailSketch`` from blocks of a sample, without holding the sample.
+
+    The sketch's cutoff is min(``floor``, v), where v is the (``keep`` + 1)-th
+    largest non-NaN value of the whole sample (-inf if there are fewer). It
+    can thus answer every question about thresholds at or above ``floor``
+    and about the ``keep`` largest values, which it stores unless some are
+    tied at the cutoff. The cutoff is a function of the whole sample, so the
+    sketch does not depend on how the sample was split into blocks or in
+    what order they came.
+
+    Each block is counted, and only its values above the running cutoff are
+    gathered, through a one-byte mask; those at the cutoff are counted.
+    Once a block holds ``keep`` + 1 values, its own (``keep`` + 1)-th
+    largest raises that bound, and only a few more than ``keep`` candidates
+    are gathered from it. The gathered values go into one buffer; when it is
+    full, its (``keep`` + 1)-th largest raises the running cutoff and the
+    values below it are dropped in place. The buffer is sized to hold twice
+    what the sketch keeps, so it is compacted only every so often and never
+    holds more than twice the sketch plus one block. ``build`` sorts the
+    buffer in place and shrinks it into the sketch.
+    """
+
+    def __init__(self, floor: float = math.inf, keep: int = 0):
+        if math.isnan(floor):
+            raise DomainError("a sketch floor must not be NaN")
+        if keep < 0:
+            raise DomainError(f"a sketch must keep a non-negative count, got {keep}")
+        self._floor = float(floor)
+        self._keep = int(keep)
+        self._cutoff = -math.inf
+        self._n = self._n_pos = self._n_nan = self._n_at = 0
+        self._buf = np.empty(0)  # its first _size entries: the values above the cutoff
+        self._size = 0
+
+    def add(self, block) -> None:
+        """Count ``block`` and gather its values above the running cutoff."""
+        self._check_unspent()
+        block = _as_samples(block, "block")
+        n_nan = int(np.count_nonzero(np.isnan(block)))
+        self._n += block.size
+        self._n_pos += int(np.count_nonzero(block > 0))
+        self._n_nan += n_nan
+        lower, candidates = self._cutoff, None
+        if block.size - n_nan > self._keep:
+            t, above, ties = _candidates(block, self._keep + 1)
+            kth = _kth_largest(above, self._keep + 1) if above.size > self._keep else t
+            lower = max(lower, min(self._floor, kth))
+            if lower >= t:  # the candidates hold every value >= lower
+                candidates = (t, above, ties)
+        if lower > self._cutoff:
+            self._raise(lower)
+        if candidates is None:
+            gathered, at = _split(block, lower)
+        elif lower == candidates[0]:
+            gathered, at = candidates[1:]
+        else:
+            gathered, at = _split(candidates[1], lower)
+        self._append(gathered, at)
+
+    def build(self) -> TailSketch:
+        """The sketch of every block added so far; the builder is then spent."""
+        self._check_unspent()
+        if self._n == 0:
+            raise DomainError("a sketch needs at least one sample")
+        self._compact()
+        top, size = self._buf, self._size
+        self._buf = None
+        # the buffer is owned here and no view of it is alive: it shrinks in place
+        top.resize(size, refcheck=False)
+        top.sort()
+        top.flags.writeable = False
+        return TailSketch(self._n, self._n_pos, self._n_nan, self._cutoff, self._n_at, top)
+
+    def _check_unspent(self) -> None:
+        if self._buf is None:
+            raise DomainError("this builder has already built its sketch")
+
+    def _compact(self) -> None:
+        """Raise the running cutoff to the sample's bound so far, if that is higher.
+
+        The buffer and the tie count hold every value of the sample so far
+        that is >= its bound, so the bound is read off them; it only rises.
+        """
+        held, j = self._buf[:self._size], self._keep + 1
+        if held.size >= j:
+            kth = _kth_largest(held, j)
+        else:
+            kth = self._cutoff if held.size + self._n_at >= j else -math.inf
+        bound = min(self._floor, kth)
+        if bound > self._cutoff:
+            self._raise(bound)
+
+    def _raise(self, cutoff: float) -> None:
+        """Move the running cutoff up to ``cutoff``: count the buffer's ties there, drop the rest."""
+        held = self._buf[:self._size]
+        self._n_at = int(np.count_nonzero(held == cutoff))
+        self._size = _keep_in_place(held, cutoff)
+        self._cutoff = cutoff
+
+    def _append(self, values: np.ndarray, at: int) -> None:
+        """Add a fresh gather of the values above the running cutoff, and ``at`` tied at it."""
+        if self._size and self._size + values.size > self._buf.size:
+            cutoff = self._cutoff
+            self._compact()
+            if self._cutoff > cutoff:  # ``values`` and ``at`` were split at the old cutoff
+                values, at = _split(values, self._cutoff)
+        self._n_at += at
+        need = self._size + values.size
+        if need > self._buf.size:
+            if self._size == 0:
+                self._buf, self._size = values, values.size  # the gather becomes the buffer
+                return
+            grown = np.empty(2 * max(need, self._keep))
+            grown[:self._size] = self._buf[:self._size]
+            self._buf = grown
+        self._buf[self._size:need] = values
+        self._size = need
+
+
+# ---------------------------------------------------------------------------
+# Hill estimator
+# ---------------------------------------------------------------------------
+
+def hill_curve_keep(n: int) -> int:
+    """How many of the largest values ``hill_curve`` reads from a sample of n.
+
+    The curve's largest k is at most max(2, n_pos // 10), and it reads the
+    top k + 1 positive values; n_pos <= n, so this bounds it for any sample
+    of n values.
+    """
+    return max(2, n // 10) + 1
 
 
 def hill(samples, k: int) -> float:
     """Hill tail-index estimate from the top k+1 positive order statistics.
 
     alpha_hat = [ (1/k) sum_{i<=k} log(X_(i) / X_(k+1)) ]^{-1}  with the
-    X_(i) in descending order. ``samples`` is left unchanged, and a
-    contiguous float array is not copied: besides a one-byte mask per sample,
-    only a few more than k + 1 candidates are gathered from it.
+    X_(i) in descending order. ``samples`` is an array, left unchanged, or a
+    ``TailSketch`` that holds the top k + 1 positive values. From an array,
+    besides a one-byte mask per sample, only a few more than k + 1
+    candidates are gathered.
     """
-    arr = _as_samples(samples, "samples")
-    top = _top_positive(arr, k + 1) if k >= 2 else arr[arr > 0]
-    if not 2 <= k < top.size:
-        raise DomainError(f"need 2 <= k < number of positive samples ({top.size}), got k={k}")
-    top.partition(top.size - (k + 1))
-    top = np.sort(top[-(k + 1):])[::-1]
+    if not isinstance(samples, TailSketch):
+        samples = TailSketch.of(_as_samples(samples, "samples"), keep=k + 1 if k >= 2 else 0)
+    if not 2 <= k < samples.n_pos:
+        raise DomainError(f"need 2 <= k < number of positive samples ({samples.n_pos}), got k={k}")
+    top = samples.top_positive(k + 1)[::-1]
     ref = top[k]
     if top[0] == ref:
         raise DegenerateTail("top k+1 order statistics are tied; Hill denominator is zero")
@@ -96,21 +356,20 @@ def hill(samples, k: int) -> float:
 def hill_curve(samples, points: int = 9) -> dict[int, float]:
     """Hill estimates over a geometric sweep of k in [n/200, n/10].
 
-    ``samples`` is left unchanged, and a contiguous float array is not
-    copied: the top n/10 + 1 positive values are gathered once and sorted,
-    and ``hill`` is called once per k on that sorted copy, so it costs the
-    same whether ``samples`` itself is sorted or not.
+    ``samples`` is an array, left unchanged, or a ``TailSketch`` that holds
+    the top ``hill_curve_keep(n)`` values. From an array those values are
+    gathered once, and ``hill`` is called once per k on their sketch.
     """
-    arr = _as_samples(samples, "samples")
-    n_pos = int(np.count_nonzero(arr > 0))
+    if not isinstance(samples, TailSketch):
+        arr = _as_samples(samples, "samples")
+        samples = TailSketch.of(arr, keep=hill_curve_keep(arr.size))
+    n_pos = samples.n_pos
     if n_pos < 3:
         raise DomainError("need at least 3 positive samples for a Hill curve")
     lo = max(2, n_pos // 200)
     hi = max(lo, min(n_pos - 1, n_pos // 10))
     ks = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
-    top = _top_positive(arr, hi + 1)
-    top.sort()
-    return {int(k): hill(top, int(k)) for k in ks}
+    return {int(k): hill(samples, int(k)) for k in ks}
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +444,6 @@ def _clean_grid(quantile_grid) -> np.ndarray:
     return grid
 
 
-def _exceedances(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The count of ``samples`` that are not <= each threshold of the increasing ``x``.
-
-    ``samples`` need not be sorted and is left unchanged. Only the values
-    that are not <= ``x[0]`` are gathered, through a one-byte mask per
-    sample, and only that tail is sorted. NaNs are never <= a threshold,
-    so they count as exceeding every x, as they would sorted last; a NaN
-    threshold is exceeded by nothing, as ``searchsorted`` places it last.
-    """
-    outside = np.less_equal(samples, x[0])
-    tail = samples[np.logical_not(outside, out=outside)]
-    del outside
-    tail.sort()
-    return tail.size - np.searchsorted(tail, x, side="right")
-
-
 def _dedupe_increasing(x: np.ndarray) -> np.ndarray:
     keep = np.ones(x.size, dtype=bool)
     keep[1:] = x[1:] > np.maximum.accumulate(x)[:-1]
@@ -219,51 +462,54 @@ def _half_decades(p_max: float, n: int) -> np.ndarray:
     return p_max * 10.0 ** (-np.arange(rungs) / 2.0)
 
 
-def _ratio_at(num: np.ndarray, den, grid: np.ndarray, min_exceedances: int,
+def _x_grid(den, grid: np.ndarray) -> np.ndarray:
+    """The denominator's quantiles at 1 - ``grid``: exact, or numpy's ``"higher"`` rule."""
+    if isinstance(den, tuple):
+        den_quantile = den[1]
+        return np.asarray([float(den_quantile(1.0 - p)) for p in grid])
+    return den.quantile_higher(1.0 - grid)
+
+
+def _ratio_at(num: TailSketch, den, grid: np.ndarray, min_exceedances: int,
               bootstrap_b: int, level: float, rng: np.random.Generator) -> TailReport:
     """Ratio of ``num`` at the denominator's ``grid`` quantiles.
 
-    ``den`` is either samples or a (ccdf, quantile) pair for an exact
+    ``den`` is either a sketch or a (ccdf, quantile) pair for an exact
     denominator, which is exempt from the exceedance floor and the bootstrap.
-    Neither sample is sorted: the x-grid is read by ``np.quantile``, which
-    selects in one unsorted copy of ``den``, and each side's exceedances
-    sort only its values above the smallest x (see ``_exceedances``).
+    Both sketches must have their cutoff at or below the smallest x.
     """
     analytic = isinstance(den, tuple)
-    if analytic:
-        den_ccdf, den_quantile = den
-        x = np.asarray([float(den_quantile(1.0 - p)) for p in grid])
-    else:
-        x = np.quantile(den, 1.0 - grid, method="higher")
+    x = _x_grid(den, grid)
     keep = _dedupe_increasing(x)
     grid, x = grid[keep], x[keep]
 
-    c_num = _exceedances(num, x)
+    c_num = num.exceedances(x)
     if analytic:
+        den_ccdf = den[0]
         p_den = np.asarray([float(den_ccdf(v)) for v in x])
         keep = (c_num >= min_exceedances) & (p_den > 0.0)
         if not np.any(keep):
             raise EmptyGrid("no grid point retains the minimum exceedance count in the numerator")
         p_den = p_den[keep]
     else:
-        c_den = _exceedances(den, x)
+        c_den = den.exceedances(x)
         keep = (c_num >= min_exceedances) & (c_den >= min_exceedances)
         if not np.any(keep):
             raise EmptyGrid("no grid point retains the minimum exceedance count in both samples")
-        p_den = c_den[keep] / den.size
+        p_den = c_den[keep] / den.n
     grid, x = grid[keep], x[keep]
 
-    p_num = c_num[keep] / num.size
+    p_num = c_num[keep] / num.n
     ratio = p_num / p_den
 
     lo_q, hi_q = _band_levels(level)
-    boot_num = rng.binomial(num.size, p_num, size=(bootstrap_b, x.size)) / num.size
+    boot_num = rng.binomial(num.n, p_num, size=(bootstrap_b, x.size)) / num.n
     if analytic:
         boot = boot_num / p_den
     else:
-        boot_den = rng.binomial(den.size, p_den, size=(bootstrap_b, x.size)) / den.size
+        boot_den = rng.binomial(den.n, p_den, size=(bootstrap_b, x.size)) / den.n
         # a resample can lose every denominator exceedance; floor the count at one
-        boot_den = np.maximum(boot_den, 1.0 / den.size)
+        boot_den = np.maximum(boot_den, 1.0 / den.n)
         boot = boot_num / boot_den
     ci_low = np.minimum(np.percentile(boot, lo_q, axis=0), ratio)
     ci_high = np.maximum(np.percentile(boot, hi_q, axis=0), ratio)
@@ -276,26 +522,46 @@ def _ratio_at(num: np.ndarray, den, grid: np.ndarray, min_exceedances: int,
         ratio=tuple(ratio),
         ratio_ci_low=tuple(ci_low),
         ratio_ci_high=tuple(ci_high),
-        n_samples=(num.size, 0 if analytic else den.size),
+        n_samples=(num.n, 0 if analytic else den.n),
         min_exceedances=min_exceedances,
     )
 
 
 def _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, rng,
                  with_hill, trend_rng) -> TailReport:
+    """The tail report of ``num`` against ``den``, either of them a sample or a sketch.
+
+    A sample is turned into a sketch first, in one gather: the denominator's
+    cutoff lies just below the order statistic that is the smallest x, the
+    numerator's at that x or, with ``with_hill``, below the values the Hill
+    curve reads.
+    The trend's ladder starts at a grid probability, so its x-grid is never
+    below the grid's smallest x.
+    """
     if min_exceedances < 1:
         raise DomainError("min_exceedances must be >= 1")
     if bootstrap_b < 200:
         raise DomainError("bootstrap B must be >= 200")
     rng = rng if rng is not None else np.random.default_rng(0)
-    report = _ratio_at(num, den, _clean_grid(quantile_grid), min_exceedances,
-                       bootstrap_b, level, rng)
+    grid = _clean_grid(quantile_grid)
+    if isinstance(den, np.ndarray):
+        lowest = int(_higher_index(den.size, 1.0 - grid[0]))
+        den = TailSketch.of(den, keep=den.size - lowest)
+    if isinstance(num, np.ndarray):
+        x_min = float(_x_grid(den, grid[:1])[0])
+        num = TailSketch.of(num, floor=math.inf if math.isnan(x_min) else x_min,
+                            keep=hill_curve_keep(num.size) if with_hill else 0)
+    report = _ratio_at(num, den, grid, min_exceedances, bootstrap_b, level, rng)
     trend = None
     if trend_rng is not None:
-        n = num.size if isinstance(den, tuple) else min(num.size, den.size)
+        n = num.n if isinstance(den, tuple) else min(num.n, den.n)
         ladder = _half_decades(report.quantile_grid[0], n)
         trend = _ratio_at(num, den, ladder, min_exceedances, bootstrap_b, level, trend_rng)
     return replace(report, hill_curve=hill_curve(num) if with_hill else {}, trend=trend)
+
+
+def _samples_or_sketch(samples, name: str):
+    return samples if isinstance(samples, TailSketch) else _as_samples(samples, name)
 
 
 def tail_ratio(
@@ -316,20 +582,23 @@ def tail_ratio(
     percentile bootstrap over independent with-replacement resamples of the
     two sample sets, evaluated at the fixed x-grid: resampled exceedance
     counts at a fixed threshold are exactly binomial, so they are drawn
-    directly rather than by materializing each resample.
+    directly rather than by materializing each resample. The x-grid holds
+    the denominator's quantiles by numpy's ``method="higher"`` rule, so any
+    NaN in it makes every x NaN, which nothing exceeds.
 
-    Neither sample is sorted or changed. Reading the x-grid selects in one
-    unsorted copy of ``den_samples``; the exceedance counts gather and sort
-    only the values above the smallest x, and the Hill curve only the top
-    tenth of the positive ``num_samples``.
+    Either sample may be an array, which is not sorted or changed, or a
+    ``TailSketch`` that holds what the report reads. An array is sketched
+    in one gather: only each sample's values above the smallest x, and the
+    numerator's top tenth for the Hill curve, are gathered and sorted, and
+    a run of values tied at a sketch's cutoff is counted, not stored.
 
     With ``trend_rng`` the report also carries ``trend``: the same ratio and
     band on the half-decade ladder p_max * 10^(-j/2) below the largest grid
     probability, down to the last rung that keeps the exceedance floor,
     bootstrapped from ``trend_rng`` so the grid's band is unchanged.
     """
-    num = _as_samples(num_samples, "num_samples")
-    den = _as_samples(den_samples, "den_samples")
+    num = _samples_or_sketch(num_samples, "num_samples")
+    den = _samples_or_sketch(den_samples, "den_samples")
     return _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, rng,
                         with_hill, trend_rng)
 
@@ -350,11 +619,11 @@ def tail_ratio_analytic(
 
     Same contract as ``tail_ratio`` but the denominator is exact, so the
     exceedance floor and the bootstrap apply to the numerator side only.
-    ``num_samples`` is not sorted or changed: only its values above the
-    smallest x, and the top tenth of its positive values for the Hill
-    curve, are gathered and sorted.
+    ``num_samples`` is an array, not sorted or changed, or a ``TailSketch``
+    whose cutoff is at most den_quantile(1 - p_max) and that holds, for the
+    Hill curve, the top ``hill_curve_keep(n)`` values.
     """
-    num = _as_samples(num_samples, "num_samples")
+    num = _samples_or_sketch(num_samples, "num_samples")
     return _tail_report(num, (den_ccdf, den_quantile), quantile_grid, min_exceedances,
                         bootstrap_b, level, rng, with_hill, trend_rng)
 

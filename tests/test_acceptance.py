@@ -272,7 +272,9 @@ REPORT_SHA256 = {
         "decay.csv": "91cd18b330127fedac8f13534c32c89a490ae6133119b487ec603018d1f0ed42",
     },
     "sum": {
-        "report.json": "c009bbce93b2a30b9ffe4c56b9245c23c8e6fc741cc339420ed4fd9456841fd5",
+        # the streamed sums merge block moments, so the SUM mean check's
+        # observed mean moved from 1.6573895643331236 to 1.657389564333124
+        "report.json": "dc5129c52dea356be770e025cb6bb37c3ebd55bf6e47717bae99769bca6a7267",
         "tail.csv": "a505b70e72753cabe2b4e2275408f33e2aa96937d808120f065e5ac4c13cdf35",
         "hill.csv": "e7e71f7d4918a9fd36b4b3222e271753dc344dfc64bc1f28e564c0894049ac04",
         "decay.csv": "91cd18b330127fedac8f13534c32c89a490ae6133119b487ec603018d1f0ed42",

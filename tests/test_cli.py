@@ -311,6 +311,23 @@ def test_threads_below_one_are_refused(runner, config_path, tmp_path, command, t
     assert not (tmp_path / "x.pool").exists()
 
 
+@pytest.mark.parametrize("command", ["constants", "simulate", "verify", "tail", "ks"])
+def test_a_negative_seed_is_refused(runner, config_path, tmp_path, command):
+    pool = tmp_path / "p.pool"
+    save_pool(pareto_pool(1, size=1_000), pool)
+    args = {"constants": [config_path],
+            "simulate": [config_path, "--out", str(tmp_path / "x.pool")],
+            "verify": [config_path, "--out", str(tmp_path / "r")],
+            "tail": ["--num", str(pool), "--den", str(pool)],
+            "ks": [str(pool), str(pool)]}[command]
+    result = runner.invoke(cli, ["--seed", "-1", command, *args])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, ValueError)
+    assert "error:" in result.stderr
+    assert "--seed" in result.stderr
+    assert not (tmp_path / "x.pool").exists()
+
+
 def test_missing_config_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(cli, ["constants", str(tmp_path / "nope.json")])
     assert result.exit_code == 2

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,14 @@ from treetail import (
     write_report,
 )
 from treetail import dist_from_json, law_from_json, simulate
-from treetail.harness import KS_START, KS_STEPS, _gap_check, _mean_check
+from treetail.harness import (
+    KS_START,
+    KS_STEPS,
+    _RunningMoments,
+    _gap_check,
+    _mean_check,
+    _moments,
+)
 from treetail.pools import KIND_R_PARTIAL
 from treetail.streams import BLOCK, StreamTree
 from treetail.errors import ConfigError, RegimeMismatch, TreetailError
@@ -220,20 +229,32 @@ def test_kesten_critical_is_refused_by_name():
 
 def test_mean_check_naive_case():
     values = np.random.default_rng(0).normal(loc=3.0, size=10_000)
-    check = _mean_check("W", 2, 3.0, values)
+    check = _mean_check("W", 2, 3.0, _moments(values))
     assert check.ok
     assert check.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(values.size), rel=1e-12)
-    far = _mean_check("W", 2, 3.5, values)
+    far = _mean_check("W", 2, 3.5, _moments(values))
     assert not far.ok
 
 
 def test_mean_check_inherits_parent_variance():
     values = np.random.default_rng(0).normal(size=10_000)
-    naive = _mean_check("R", 1, 0.0, values)
-    chained = _mean_check("R", 1, 0.0, values, prev_var=naive.stderr ** 2, rho=0.5)
+    naive = _mean_check("R", 1, 0.0, _moments(values))
+    chained = _mean_check("R", 1, 0.0, _moments(values), prev_var=naive.stderr ** 2, rho=0.5)
     assert chained.stderr > naive.stderr
     expected = math.sqrt(naive.stderr ** 2 + 0.25 * naive.stderr ** 2)
     assert chained.stderr == pytest.approx(expected, rel=1e-12)
+
+
+def test_running_moments_of_blocks_match_the_whole_sample():
+    values = np.random.default_rng(1).normal(loc=3.0, scale=2.0, size=3 * BLOCK + 17)
+    running = _RunningMoments()
+    for lo in range(0, values.size, BLOCK):
+        running.add(values[lo:lo + BLOCK])
+    got, want = running.moments(), _moments(values)
+    assert got.size == want.size
+    # only the summation order differs
+    assert got.mean == pytest.approx(want.mean, rel=1e-13)
+    assert got.s2 == pytest.approx(want.s2, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +363,17 @@ def test_sum_scenario_runs():
     # E[S] = E[Q] + rho E[X] = 1 + 0.2 zeta(2) * 2
     assert check.predicted == pytest.approx(1.0 + 0.4 * 1.6449340668482264, rel=1e-12)
     assert rep.decay is None
+
+
+def test_sum_scenario_never_holds_its_sums():
+    # sum-appendix shrunk to 2M sums, which would take 16 MB held whole;
+    # holding them plus their blocks (or a full-size variance temporary)
+    # peaked at 2.04 times that
+    config = replace(load_config(CONFIG_DIR / "sum-appendix.json"), pool_size=2_000_000)
+    tracemalloc.start()
+    try:
+        run_scenario(config, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * config.pool_size

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treetail import (
@@ -23,6 +23,8 @@ from treetail import (
 )
 from treetail import tailstats
 from treetail.errors import DegenerateTail, DomainError, EmptyGrid, NonPositive, TreetailError
+from treetail.streams import BLOCK
+from treetail.tailstats import TailSketch, TailSketchBuilder
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -568,6 +570,128 @@ def test_tail_ratio_peak_memory():
     peak = _peak_bytes(tail_ratio, num, den, (0.01, 0.001), rng=RNG(28),
                              trend_rng=RNG(29))
     assert peak <= 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("with_hill", [True, False])
+def test_tail_ratio_reads_a_numerator_with_more_than_a_tenth_above_the_grid(
+        tail_ratio_reference, with_hill):
+    # all of 3 X lies above the denominator's x at p = 0.4, far more than the
+    # top tenth the Hill curve keeps
+    ref_ratio, ref_analytic = tail_ratio_reference
+    dist = Pareto(2.0, 1.0)
+    den = dist.sample_many(RNG(32), 20_000)
+    num = 3.0 * dist.sample_many(RNG(33), 20_000)
+    kwargs = lambda: dict(bootstrap_b=200, rng=RNG(34), trend_rng=RNG(35), with_hill=with_hill)
+    rep = tail_ratio(num, den, (0.4, 0.1), **kwargs())
+    assert rep == ref_ratio(num, den, (0.4, 0.1), **kwargs())
+    assert rep.ccdf_num[0] == 1.0 and rep.ratio[0] > 1.0
+    rep = tail_ratio_analytic(num, dist.ccdf, dist.quantile, (0.4, 0.1), **kwargs())
+    assert rep == ref_analytic(num, dist.ccdf, dist.quantile, (0.4, 0.1), **kwargs())
+    assert rep.ccdf_num[0] == 1.0 and rep.ratio[0] == pytest.approx(2.5)
+
+
+def test_a_nan_in_the_denominator_empties_the_grid_as_in_the_reference(tail_ratio_reference):
+    ref_ratio, _ = tail_ratio_reference
+    num = pareto_samples(2.0, 5_000, seed=36)
+    den = pareto_samples(2.0, 5_000, seed=37)
+    den[17] = np.nan
+    kwargs = lambda: dict(min_exceedances=1, bootstrap_b=200, rng=RNG(38))
+    got = _outcome(tail_ratio, num, den, (0.1, 0.01), **kwargs())
+    assert got == _outcome(ref_ratio, num, den, (0.1, 0.01), **kwargs())
+    assert got[0] is EmptyGrid
+
+
+# ---------------------------------------------------------------------------
+# tail sketches
+# ---------------------------------------------------------------------------
+
+def _sketch_by_sorting(values, floor, keep) -> tuple:
+    """The fields a sketch must have, from a sort of the whole sample."""
+    arr = np.asarray(values, dtype=float)
+    valid = np.sort(arr[~np.isnan(arr)])
+    bound = valid[valid.size - keep - 1] if valid.size > keep else -math.inf
+    cutoff = min(floor, bound)
+    return (arr.size, int(np.count_nonzero(arr > 0)), int(np.count_nonzero(np.isnan(arr))),
+            cutoff, int(np.count_nonzero(arr == cutoff)), valid[valid > cutoff])
+
+
+def _assert_sketch_is(sketch, fields):
+    *counts, top = fields
+    assert (sketch.n, sketch.n_pos, sketch.n_nan, sketch.cutoff, sketch.n_at) == tuple(counts)
+    assert np.array_equal(sketch.top, top)
+
+
+def _fed_in_blocks(values, floor, keep, bounds):
+    builder = TailSketchBuilder(floor, keep)
+    for lo, hi in zip(bounds, bounds[1:]):
+        builder.add(values[lo:hi])
+    return builder.build()
+
+
+_SKETCH_VALUES = st.one_of(
+    st.sampled_from([-2.0, -0.0, 0.0, 1.0, 1.0, 3.0, math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(_SKETCH_VALUES, min_size=1, max_size=200),
+        st.builds(lambda v, n: [v] * n, _SKETCH_VALUES, st.integers(1, 100)),  # all equal
+    ),
+    floor=st.sampled_from([-math.inf, -1.0, 0.0, 1.0, 3.0, 50.0, math.inf]),
+    keep=st.integers(min_value=0, max_value=60),
+    cuts=st.lists(st.integers(min_value=1, max_value=199), max_size=8),
+    order=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+# a full buffer raises the cutoff to the value of the block being added
+@example(values=[-2.0] * 5, floor=-1.0, keep=2, cuts=[1, 2, 3], order=0)
+def test_a_sketch_fed_in_any_blocks_is_the_sketch_of_the_whole(values, floor, keep, cuts, order):
+    arr = np.asarray(values, dtype=float)
+    want = _sketch_by_sorting(arr, floor, keep)
+    _assert_sketch_is(TailSketch.of(arr, floor, keep), want)
+    shuffled = arr[RNG(order).permutation(arr.size)]
+    bounds = sorted({0, arr.size} | {c for c in cuts if c < arr.size})
+    _assert_sketch_is(_fed_in_blocks(shuffled, floor, keep, bounds), want)
+    _assert_sketch_is(_fed_in_blocks(arr[::-1], floor, keep, bounds), want)
+
+
+@pytest.mark.parametrize("floor,keep", [(math.inf, 30_001), (5.0, 30_001), (1.5, 1_000),
+                                        (math.inf, 0), (20.0, 0), (-math.inf, 5)])
+def test_a_sketch_of_pipeline_sized_blocks_is_the_sketch_of_the_whole(floor, keep):
+    """Past 2^17 values the candidates come from a strided subsample."""
+    values = np.concatenate([pareto_samples(2.0, 300_000, seed=39).round(1),
+                             -np.ones(20_000), np.zeros(20_000), [np.nan] * 10])
+    RNG(40).shuffle(values)
+    want = _sketch_by_sorting(values, floor, keep)
+    _assert_sketch_is(TailSketch.of(values, floor, keep), want)
+    bounds = list(range(0, values.size, BLOCK)) + [values.size]
+    _assert_sketch_is(_fed_in_blocks(values, floor, keep, bounds), want)
+
+
+def test_a_sketch_refuses_every_query_below_its_cutoff():
+    x = pareto_samples(2.0, 10_000, seed=41)
+    sketch = TailSketch.of(x, floor=3.0)
+    assert sketch.cutoff == 3.0 and sketch.top.min() > 3.0
+    assert sketch.exceedances([3.0, 5.0]).tolist() == [np.count_nonzero(x > 3.0),
+                                                       np.count_nonzero(x > 5.0)]
+    with pytest.raises(TreetailError):
+        sketch.exceedances([2.9])
+    with pytest.raises(TreetailError):
+        sketch.quantile_higher([0.5])  # the median, about 1.41
+    with pytest.raises(TreetailError):
+        sketch.top_positive(sketch.top.size + 1)
+    with pytest.raises(TreetailError):
+        hill(sketch, sketch.top.size)
+    # the grid's smallest x, the Pareto(2) quantile at 0.6, is 1.58
+    dist = Pareto(2.0, 1.0)
+    with pytest.raises(TreetailError):
+        tail_ratio_analytic(sketch, dist.ccdf, dist.quantile, (0.4, 0.1), with_hill=False)
+    with pytest.raises(TreetailError):
+        tail_ratio(x, TailSketch.of(x, keep=500), (0.1,), with_hill=False)
+    with pytest.raises(TreetailError):
+        hill_curve(TailSketch.of(x, keep=100))  # the curve reads the top 1001
 
 
 # ---------------------------------------------------------------------------
