@@ -140,27 +140,18 @@ def _block_ranges(size: int):
 
 
 def _run_blocks(worker, size: int, threads: int) -> np.ndarray:
-    """Fill one array of ``size`` with ``worker(block, lo, hi)`` over the fixed blocks.
+    """Concatenate ``worker(block, lo, hi)`` over the fixed blocks of ``size``.
 
     The one block scheduler of the pools: each worker derives its stream
-    from its block index, so the thread count never changes a value. Each
-    block is copied into the preallocated output as soon as it is drawn, so
-    besides the output only the blocks in flight are held.
+    from its block index, so the thread count never changes a value.
     """
     ranges = _block_ranges(size)
-    out = np.empty(size)
-
-    def fill(block):
-        lo, hi = ranges[block]
-        out[lo:hi] = worker(block, lo, hi)
-
     if threads <= 1 or len(ranges) == 1:
-        for block in range(len(ranges)):
-            fill(block)
+        parts = [worker(b, lo, hi) for b, (lo, hi) in enumerate(ranges)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(ranges))))
-    return out
+            parts = list(pool.map(lambda ib: worker(ib[0], *ib[1]), enumerate(ranges)))
+    return np.concatenate(parts)
 
 
 def init_pool(
