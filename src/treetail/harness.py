@@ -21,7 +21,8 @@ step 1 is Q.
 
 Order of work in a tree scenario: the Z_N denominator, drawn only under ZN
 dominance (the Q-side ratio has an analytic denominator and nothing else
-reads Z_N), then the W pools, the last of which is freed when the W loop
+reads Z_N) and at once reduced to the one tail sketch that all its ratios
+read, then the W pools, the last of which is freed when the W loop
 ends, then the horizon loop R^(1), ..., R^(depth). The two fixed-point
 chains run in lockstep with the first KS_STEPS iterations of that loop:
 iteration k steps each chain once and takes ``ks_series[k]``,
@@ -511,6 +512,11 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
         zn = simulate._run_blocks(
             lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
             size, threads)
+        # every ZN-side ratio reads Z_N above its quantile at its largest grid
+        # probability, so one sketch kept down to the largest of both grids
+        # serves them all, and the full array is freed before the W pools
+        p_max = max(*DECAY_GRID, *config.quantile_grid)
+        zn = TailSketch.of(zn, keep=size - int(tailstats._higher_index(size, 1.0 - p_max)))
 
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}

@@ -633,50 +633,90 @@ def tail_ratio_analytic(
 # ---------------------------------------------------------------------------
 
 # every _KS_CHUNK-th value of each sorted sample is a cut of ``ks_distance``
-_KS_CHUNK = 1 << 15
+_KS_CHUNK = 1 << 9
+# the most values of each sample that one merge of adjacent chunks reads
+_KS_MERGE = 1 << 15
 
 
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance by a chunked merge of sorted samples.
+    """Two-sample Kolmogorov-Smirnov distance by a pruned, chunked merge of sorted samples.
 
     Both samples are sorted. Every ``_KS_CHUNK``-th value of each, and the
     largest of each, is a cut, and the cuts split the merge into chunks
-    [t_k, t_k+1). At each cut, ``searchsorted(side="right")`` gives the two
-    counts of values <= t_k, so a run of equal values that holds a cut
-    costs one entry however long it is, and any run of ``_KS_CHUNK`` or more
-    values holds one. The values strictly between two cuts, fewer than
-    ``_KS_CHUNK`` from each sample, are merged by a stable argsort of their
-    concatenation (timsort merges the two sorted runs), and the running
-    counts are read at the last member of each run of equal values. The
-    counts at every pooled value are thus the two empirical CDFs there
-    (the ``side="right"`` convention), and ties never split a step. NaNs
-    sort last, form the run of the last cut, and count as one value.
+    [t_k, t_k+1). At each cut, ``searchsorted`` gives the counts of values
+    <= t_k (``end``) and < t_k (``start``), so a run of equal values that
+    holds a cut costs one entry however long it is, and any run of
+    ``_KS_CHUNK`` or more values holds one. The distance at the cuts starts
+    the running maximum d.
+
+    Inside chunk k the counts of each sample lie between its ``end`` at t_k
+    and its ``start`` at t_k+1, so |F_a - F_b| there is at most
+    max(start_a[k+1]/n_a - end_b[k]/n_b, start_b[k+1]/n_b - end_a[k]/n_a).
+    That bound is the same float expression as the distance it bounds, and
+    rounding is monotone, so it is exact: a chunk whose bound is <= d
+    cannot raise d. The chunks are visited in decreasing order of bound
+    until the first bound <= d. A visited chunk is merged together with the
+    adjacent unvisited chunks whose bounds still exceed d, and the cuts
+    between them, up to ``_KS_MERGE`` values of each sample, so samples
+    that prune nothing (two equal samples, say) cost a few dozen merges,
+    not thousands. The values of a merge are merged by a stable argsort of their concatenation
+    (timsort merges the two sorted runs), and the running counts are read
+    at the last member of each run of equal values. The counts at every
+    pooled value are thus the two empirical CDFs there (the
+    ``side="right"`` convention), and ties never split a step. NaNs sort
+    last, form the run of the last cut, and count as one value.
 
     ``a`` and ``b`` are left unchanged. Beyond one sorted copy of each
-    sample, the memory used is O(``_KS_CHUNK``): the cuts and one chunk's
-    merge, about 3 MB.
+    sample, the memory used is O(n / ``_KS_CHUNK`` + ``_KS_MERGE``): the
+    cuts with their bounds, and one merge.
     """
     a = np.sort(_as_samples(a, "a"))
     b = np.sort(_as_samples(b, "b"))
+    n_a, n_b = a.size, b.size
     cuts = np.unique(np.concatenate([a[::_KS_CHUNK], a[-1:], b[::_KS_CHUNK], b[-1:]]))
     start_a, end_a = np.searchsorted(a, cuts, "left"), np.searchsorted(a, cuts, "right")
     start_b, end_b = np.searchsorted(b, cuts, "left"), np.searchsorted(b, cuts, "right")
-    gap = end_a / a.size
-    gap -= end_b / b.size
+    gap = end_a / n_a
+    gap -= end_b / n_b
     d = float(np.max(np.abs(gap, out=gap)))
-    for k in range(cuts.size - 1):
-        in_a = a[end_a[k]:start_a[k + 1]]
-        in_b = b[end_b[k]:start_b[k + 1]]
-        if in_a.size or in_b.size:
-            d = max(d, _ks_chunk(in_a, in_b, end_a[k], end_b[k], a.size, b.size))
+    bound = start_a[1:] / n_a
+    bound -= end_b[:-1] / n_b
+    below = start_b[1:] / n_b
+    below -= end_a[:-1] / n_a
+    np.maximum(bound, below, out=bound)
+    del gap, below
+    merged = np.zeros(bound.size, dtype=bool)
+
+    def joins(j: int) -> bool:  # chunk j is unmerged and may still raise d
+        return not merged[j] and bound[j] > d
+
+    def fits(lo: int, hi: int) -> bool:  # chunks lo..hi hold at most _KS_MERGE of each sample
+        return (start_a[hi + 1] - end_a[lo] <= _KS_MERGE
+                and start_b[hi + 1] - end_b[lo] <= _KS_MERGE)
+
+    for k in np.argsort(bound)[::-1]:
+        if bound[k] <= d:
+            break
+        if merged[k]:
+            continue
+        lo = hi = k
+        while hi + 1 < bound.size and joins(hi + 1) and fits(lo, hi + 1):
+            hi += 1
+        while lo > 0 and joins(lo - 1) and fits(lo - 1, hi):
+            lo -= 1
+        merged[lo:hi + 1] = True
+        d = max(d, _ks_chunk(a[end_a[lo]:start_a[hi + 1]], b[end_b[lo]:start_b[hi + 1]],
+                             end_a[lo], end_b[lo], n_a, n_b))
     return d
 
 
 def _ks_chunk(in_a, in_b, below_a: int, below_b: int, n_a: int, n_b: int) -> float:
     """max |F_a - F_b| over the values of two sorted slices of the samples.
 
-    ``below_a`` and ``below_b`` count the members of each sample below the
-    slices; ``n_a`` and ``n_b`` are the sample sizes.
+    The slices hold every member of their sample in one value range, so
+    each run of equal values is whole. ``below_a`` and ``below_b`` count
+    the members of each sample below the slices; ``n_a`` and ``n_b`` are
+    the sample sizes.
     """
     values = np.concatenate([in_a, in_b])
     order = np.argsort(values, kind="stable")
