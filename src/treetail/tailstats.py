@@ -641,11 +641,11 @@ _KS_MERGE = 1 << 15
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance by a pruned, chunked merge of sorted samples.
 
-    Both samples are sorted. Every ``_KS_CHUNK``-th value of each, and the
-    largest of each, is a cut, and the cuts split the merge into chunks
-    [t_k, t_k+1). At each cut, ``searchsorted`` gives the counts of values
-    <= t_k (``end``) and < t_k (``start``), so a run of equal values that
-    holds a cut costs one entry however long it is, and any run of
+    Both samples are sorted. Every ``_KS_CHUNK``-th (2^9-th) value of each,
+    and the largest of each, is a cut, and the cuts split the merge into
+    chunks [t_k, t_k+1). At each cut, ``searchsorted`` gives the counts of
+    values <= t_k (``end``) and < t_k (``start``), so a run of equal values
+    that holds a cut costs one entry however long it is, and any run of
     ``_KS_CHUNK`` or more values holds one. The distance at the cuts starts
     the running maximum d.
 
@@ -657,18 +657,20 @@ def ks_distance(a, b) -> float:
     cannot raise d. The chunks are visited in decreasing order of bound
     until the first bound <= d. A visited chunk is merged together with the
     adjacent unvisited chunks whose bounds still exceed d, and the cuts
-    between them, up to ``_KS_MERGE`` values of each sample, so samples
-    that prune nothing (two equal samples, say) cost a few dozen merges,
-    not thousands. The values of a merge are merged by a stable argsort of their concatenation
-    (timsort merges the two sorted runs), and the running counts are read
-    at the last member of each run of equal values. The counts at every
-    pooled value are thus the two empirical CDFs there (the
-    ``side="right"`` convention), and ties never split a step. NaNs sort
-    last, form the run of the last cut, and count as one value.
+    between them, up to ``_KS_MERGE`` (2^15) values of each sample, so
+    samples that prune nothing (two equal samples, say) cost a few dozen
+    merges, not thousands. The values of a merge are merged by a stable
+    argsort of their concatenation (timsort merges the two sorted runs),
+    and the running counts are read at the last member of each run of
+    equal values. The counts at every pooled value are thus the two
+    empirical CDFs there (the ``side="right"`` convention), and ties never
+    split a step. NaNs sort last, form the run of the last cut, and count
+    as one value.
 
     ``a`` and ``b`` are left unchanged. Beyond one sorted copy of each
-    sample, the memory used is O(n / ``_KS_CHUNK`` + ``_KS_MERGE``): the
-    cuts with their bounds, and one merge.
+    sample, the memory used is O(n / 2^9 + 2^15): the cuts with their
+    bounds, about 1 MB for two samples of a million, and one merge, at most
+    about 3 MB.
     """
     a = np.sort(_as_samples(a, "a"))
     b = np.sort(_as_samples(b, "b"))
@@ -684,8 +686,13 @@ def ks_distance(a, b) -> float:
     below = start_b[1:] / n_b
     below -= end_a[:-1] / n_a
     np.maximum(bound, below, out=bound)
-    del gap, below
-    merged = np.zeros(bound.size, dtype=bool)
+    # the chunks that can raise d, highest bound first; equal bounds go from
+    # the highest index down, so that they join in whole runs of chunks
+    live = np.argsort(bound, kind="stable")[::-1][:np.count_nonzero(bound > d)].tolist()
+    # the loop reads single entries, which Python lists serve fastest
+    bound, start_a, end_a, start_b, end_b = (
+        v.tolist() for v in (bound, start_a, end_a, start_b, end_b))
+    merged = [False] * len(bound)
 
     def joins(j: int) -> bool:  # chunk j is unmerged and may still raise d
         return not merged[j] and bound[j] > d
@@ -694,17 +701,17 @@ def ks_distance(a, b) -> float:
         return (start_a[hi + 1] - end_a[lo] <= _KS_MERGE
                 and start_b[hi + 1] - end_b[lo] <= _KS_MERGE)
 
-    for k in np.argsort(bound)[::-1]:
+    for k in live:
         if bound[k] <= d:
             break
         if merged[k]:
             continue
         lo = hi = k
-        while hi + 1 < bound.size and joins(hi + 1) and fits(lo, hi + 1):
+        while hi + 1 < len(bound) and joins(hi + 1) and fits(lo, hi + 1):
             hi += 1
         while lo > 0 and joins(lo - 1) and fits(lo - 1, hi):
             lo -= 1
-        merged[lo:hi + 1] = True
+        merged[lo:hi + 1] = [True] * (hi + 1 - lo)
         d = max(d, _ks_chunk(a[end_a[lo]:start_a[hi + 1]], b[end_b[lo]:start_b[hi + 1]],
                              end_a[lo], end_b[lo], n_a, n_b))
     return d

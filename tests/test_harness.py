@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from treetail import (
     run_scenario,
     write_report,
 )
-from treetail import dist_from_json, law_from_json, simulate
+from treetail import dist_from_json, law_from_json, simulate, tailstats
 from treetail.harness import (
+    DECAY_GENERATIONS,
     KS_START,
     KS_STEPS,
     _RunningMoments,
@@ -30,6 +32,7 @@ from treetail.harness import (
 )
 from treetail.pools import KIND_R_PARTIAL
 from treetail.streams import BLOCK, StreamTree
+from treetail.tailstats import TailSketch
 from treetail.errors import ConfigError, RegimeMismatch, TreetailError
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
@@ -337,6 +340,40 @@ def test_lockstep_chains_match_full_trajectories(ks_reference):
         gaps.append(_gap_check(k, high[k].values - low[k].values, var_gap, rep.regime.rho))
         var_gap = gaps[-1].stderr ** 2
     assert rep.coupled_gap == tuple(gaps)
+
+
+def test_zn_is_sketched_once_for_every_ratio(tiny_report):
+    config = ScenarioConfig.from_json(tiny_doc())
+    with mock.patch.object(tailstats, "tail_ratio", wraps=tailstats.tail_ratio) as spy:
+        rep = run_scenario(config)
+    assert rep.to_json_dict() == tiny_report.to_json_dict()
+    # the decay ratios of generations 2..8 and the main ratio read one sketch
+    dens = [c.args[1] for c in spy.call_args_list]
+    assert len(dens) == len(DECAY_GENERATIONS) + 1
+    assert isinstance(dens[0], TailSketch)
+    assert all(den is dens[0] for den in dens)
+    assert dens[0].n == config.pool_size
+
+
+def _traced_peak(config) -> int:
+    tracemalloc.start()
+    try:
+        run_scenario(config, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, pools", [("zn", 7.6), ("q", 6.75)])
+def test_tree_scenario_peak_live_memory(name, pools):
+    # every stage at 2^18 samples, with the coupled chains to depth 15.
+    # Traced bytes, unlike RSS, do not depend on how the allocator reuses
+    # pages. In pool sizes: zn 7.34 (8.37 while each ratio sketched Z_N and
+    # every KS chunk was merged; the peak is now in the chains' evolve), q
+    # 6.51 (6.54)
+    config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"),
+                     pool_size=1 << 18, depth=KS_STEPS)
+    assert _traced_peak(config) < pools * 8 * config.pool_size
 
 
 def test_write_report_files(tiny_report, tmp_path):

@@ -164,15 +164,17 @@ def test_hill_reads_the_sample_without_copying_it():
 def test_ks_distance_peak_memory():
     a = RNG(15).random(1_000_000)
     b = RNG(16).random(1_000_000)
-    # the two sorted copies are 15.3 MiB, and one chunk's merge about 3 MB more
-    assert _peak_bytes(ks_distance, a, b) <= 24 * 2 ** 20
+    # the two sorted copies are 15.3 MiB; the cuts with their bounds and one
+    # merge add about 2 MiB (17.3 MiB in all, 19.4 when every chunk was merged)
+    assert _peak_bytes(ks_distance, a, b) <= 18 * 2 ** 20
 
 
 def test_ks_distance_peak_memory_on_heavy_ties():
     a = np.ones(1_000_000)
     b = RNG(17).random(1_000_000)
     # the run of 1.0 holds cuts, so it is read once and never merged
-    assert _peak_bytes(ks_distance, a, b) <= 20 * 2 ** 20
+    # (15.6 MiB; 16.8 MiB when every chunk was merged)
+    assert _peak_bytes(ks_distance, a, b) <= 16.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +243,18 @@ def test_ks_distance_equals_the_reference_on_heavy_ties(ks_reference, a, b, orde
 
 
 def _assert_ks_is_exact(ks_reference, a, b, chunks=None):
-    """ks_distance both ways equals the reference at each chunk size (default: the module's)."""
-    for chunk in chunks or (tailstats._KS_CHUNK,):
-        with mock.patch.object(tailstats, "_KS_CHUNK", chunk):
+    """ks_distance both ways equals the reference at each chunk size (default: the module's).
+
+    At a chunk size other than the module's, merges of adjacent chunks are
+    capped both at one chunk and at four, so some merges take one chunk
+    and others several, with the cuts between them.
+    """
+    if chunks is None:
+        sizes = [(tailstats._KS_CHUNK, tailstats._KS_MERGE)]
+    else:
+        sizes = [(chunk, chunk * cap) for chunk in chunks for cap in (1, 4)]
+    for chunk, merge in sizes:
+        with mock.patch.multiple(tailstats, _KS_CHUNK=chunk, _KS_MERGE=merge):
             assert ks_distance(a, b) == ks_reference(a, b)
             assert ks_distance(b, a) == ks_reference(b, a)
 
@@ -289,6 +300,46 @@ def test_ks_distance_equals_the_reference_across_chunks(ks_reference):
     _assert_ks_is_exact(ks_reference, rounded, continuous)
     # a chain pool at its first step: one value a million times
     _assert_ks_is_exact(ks_reference, np.full(1_000_000, 1.0), rng.random(1_000_000) * 2.0)
+
+
+def _merged_values(a, b) -> tuple[float, int, int]:
+    """(ks_distance(a, b), the merges it makes, the values of both samples they read)."""
+    with mock.patch.object(tailstats, "_ks_chunk", wraps=tailstats._ks_chunk) as spy:
+        d = ks_distance(a, b)
+    return d, spy.call_count, sum(c.args[0].size + c.args[1].size for c in spy.call_args_list)
+
+
+def test_ks_distance_merges_a_handful_of_chunks_of_far_apart_samples(ks_reference):
+    rng = RNG(19)
+    a, b = rng.normal(size=1_000_000), rng.normal(6.0, size=1_000_000)
+    d, merges, values = _merged_values(a, b)
+    assert d == ks_reference(a, b)
+    # every other chunk's bound is at most the distance at the cuts; merging
+    # every chunk took 63 merges that read all but 64 of the 2M values
+    assert merges <= 4
+    assert values <= 4 * 2 * tailstats._KS_CHUNK
+
+
+def test_ks_distance_merges_a_small_share_of_overlapping_samples(ks_reference):
+    rng = RNG(20)
+    a, b = rng.normal(size=1_000_000), rng.normal(0.5, size=1_000_000)
+    d, _, values = _merged_values(a, b)
+    assert d == ks_reference(a, b)
+    # only chunks near the largest gap can hold it
+    assert values <= 0.1 * (a.size + b.size)
+
+
+def test_ks_distance_of_equal_samples_merges_long_runs_of_chunks(ks_reference):
+    a = RNG(21).random(1_000_000)
+    b = a[::-1].copy()
+    d, merges, values = _merged_values(a, b)
+    # nothing can be pruned at D = 0, so all values but the cuts are merged,
+    # and adjacent chunks go into one merge of up to _KS_MERGE values of
+    # each sample: the fewest merges that cap allows, as many as when every
+    # chunk of 2^15 values was merged
+    assert d == ks_reference(a, b) == 0.0
+    assert values >= 0.99 * (a.size + b.size)
+    assert merges <= math.ceil(a.size / tailstats._KS_MERGE)
 
 
 def test_ks_distance_equals_the_reference_with_nans_and_infinities(ks_reference):
