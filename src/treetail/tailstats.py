@@ -669,8 +669,8 @@ def ks_distance(a, b) -> float:
 
     ``a`` and ``b`` are left unchanged. Beyond one sorted copy of each
     sample, the memory used is O(n / 2^9 + 2^15): the cuts with their
-    bounds, about 1 MB for two samples of a million, and one merge, at most
-    about 3 MB.
+    bounds, about 0.3 MB for two samples of a million, and one merge, at
+    most about 3 MB.
     """
     a = np.sort(_as_samples(a, "a"))
     b = np.sort(_as_samples(b, "b"))
@@ -689,10 +689,11 @@ def ks_distance(a, b) -> float:
     # the chunks that can raise d, highest bound first; equal bounds go from
     # the highest index down, so that they join in whole runs of chunks
     live = np.argsort(bound, kind="stable")[::-1][:np.count_nonzero(bound > d)].tolist()
-    # the loop reads single entries, which Python lists serve fastest
+    # the loop reads single entries, which memoryviews serve as plain Python
+    # numbers, several times faster than numpy scalars and with no copy
     bound, start_a, end_a, start_b, end_b = (
-        v.tolist() for v in (bound, start_a, end_a, start_b, end_b))
-    merged = [False] * len(bound)
+        memoryview(v) for v in (bound, start_a, end_a, start_b, end_b))
+    merged = bytearray(len(bound))
 
     def joins(j: int) -> bool:  # chunk j is unmerged and may still raise d
         return not merged[j] and bound[j] > d
@@ -711,7 +712,7 @@ def ks_distance(a, b) -> float:
             hi += 1
         while lo > 0 and joins(lo - 1) and fits(lo - 1, hi):
             lo -= 1
-        merged[lo:hi + 1] = [True] * (hi + 1 - lo)
+        merged[lo:hi + 1] = b"\1" * (hi + 1 - lo)
         d = max(d, _ks_chunk(a[end_a[lo]:start_a[hi + 1]], b[end_b[lo]:start_b[hi + 1]],
                              end_a[lo], end_b[lo], n_a, n_b))
     return d

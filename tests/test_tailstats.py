@@ -165,7 +165,7 @@ def test_ks_distance_peak_memory():
     a = RNG(15).random(1_000_000)
     b = RNG(16).random(1_000_000)
     # the two sorted copies are 15.3 MiB; the cuts with their bounds and one
-    # merge add about 2 MiB (17.3 MiB in all, 19.4 when every chunk was merged)
+    # merge add about 1.4 MiB (16.7 MiB in all, 19.4 when every chunk was merged)
     assert _peak_bytes(ks_distance, a, b) <= 18 * 2 ** 20
 
 
@@ -173,7 +173,7 @@ def test_ks_distance_peak_memory_on_heavy_ties():
     a = np.ones(1_000_000)
     b = RNG(17).random(1_000_000)
     # the run of 1.0 holds cuts, so it is read once and never merged
-    # (15.6 MiB; 16.8 MiB when every chunk was merged)
+    # (15.4 MiB; 16.8 MiB when every chunk was merged)
     assert _peak_bytes(ks_distance, a, b) <= 16.5 * 2 ** 20
 
 
