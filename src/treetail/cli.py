@@ -38,19 +38,16 @@ def _guard(fn):
 
 @click.group()
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--threads", type=int, default=None, help="Worker threads for the block-parallel sampling.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True, help="Output format for printed results.")
 @click.pass_context
 @_guard
-def cli(ctx, seed, threads, fmt):
+def cli(ctx, seed, fmt):
     """Tail-asymptotics toolkit for branching-tree fixed points."""
     if seed is not None and seed < 0:
         raise DomainError(f"--seed must be non-negative, got {seed}")
-    if threads is not None and threads < 1:
-        raise DomainError(f"--threads must be at least 1, got {threads}")
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, threads=threads, fmt=fmt)
+    ctx.obj.update(seed=seed, fmt=fmt)
 
 
 def _load(ctx, config_path):
@@ -96,19 +93,20 @@ def simulate(ctx, config_path, out, kind, depth, csv_path):
     depth = config.depth if depth is None else depth
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    threads = ctx.obj["threads"] or config.replicas
+    # a step holds the last pool, the new pool's blocks and their concatenation
+    simkernel.check_memory(3 * 8 * config.pool_size, f"simulate with pool_size {config.pool_size}")
     streams = StreamTree(config.seed)
     if kind == "rstar":
         pool = simkernel.constant_pool(config.law, config.pool_size, 0.0)
         # one step at a time, so that only the last pool of the trajectory is kept
         for _ in range(depth):
-            pool = simkernel.iterate_fixed_point(config.law, pool, 1, streams, threads)[-1]
+            pool = simkernel.iterate_fixed_point(config.law, pool, 1, streams)[-1]
     else:
         pool_kind = KIND_W if kind == "w" else KIND_R_PARTIAL
-        pool = simkernel.init_pool(config.law, config.pool_size, streams, kind=pool_kind, threads=threads)
+        pool = simkernel.init_pool(config.law, config.pool_size, streams, kind=pool_kind)
         step = simkernel.evolve_pool_w if kind == "w" else simkernel.evolve_pool_r
         for _ in range(depth):
-            pool = step(config.law, pool, streams, threads)
+            pool = step(config.law, pool, streams)
     save_pool(pool, out)
     if csv_path is not None:
         export_csv(pool, csv_path)
@@ -156,7 +154,7 @@ def tail(ctx, num_path, den_path, grid, min_exceedances, bootstrap_b, level, pre
 def verify(ctx, config_path, outdir):
     """Run the full verification pipeline; exit 2 if any verdict fails."""
     config = _load(ctx, config_path)
-    report = run_scenario(config, threads=ctx.obj["threads"])
+    report = run_scenario(config)
     write_report(report, outdir)
     for name, ok in report.verdicts.items():
         click.echo(f"[{'PASS' if ok else 'FAIL'}] {name}")

@@ -41,11 +41,9 @@ the tail ratio, the Hill curve and the Hill pin read only it.
 ``_Sampled.sketch`` is that sketch, or in a tree scenario the sketch of the
 final R pool's top values.
 
-Determinism: a report is a pure function of (config, seed). ``replicas`` is
-a worker-count hint; every pool and the Z_N denominator are drawn in fixed
-blocks with their own derived streams by one scheduler,
-``simulate._run_blocks``, so any replica/thread count yields identical bytes.
-The one-shot sums use the same blocks and streams, drawn in turn.
+Determinism: a report is a pure function of (config, seed). The pools, Z_N
+and the one-shot sums are drawn in fixed blocks, in turn, each block on its
+own derived stream; ``simulate._run_blocks`` is the one block scheduler.
 """
 
 from __future__ import annotations
@@ -70,9 +68,9 @@ from .branching import (
     validate_regime,
 )
 from .distributions import Distribution, dist_from_json
-from .errors import ConfigError, DomainError, EmptyGrid, RegimeMismatch
+from .errors import ConfigError, EmptyGrid, RegimeMismatch
 from .pools import KIND_R_PARTIAL, KIND_W
-from .streams import StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
+from .streams import BLOCK, StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
 from .tailstats import TailReport, TailSketch
 
 __all__ = [
@@ -133,7 +131,6 @@ class ScenarioConfig:
     bootstrap_b: int
     quantile_grid: tuple[float, ...]
     seed: int
-    replicas: int = 1
     x_dist: Distribution | None = None
 
     def __post_init__(self):
@@ -153,8 +150,6 @@ class ScenarioConfig:
             raise ConfigError("quantile_grid entries must lie in (0, 0.5)")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be at least 1")
         if self.dominant == DOMINANT_SUM and self.x_dist is None:
             raise ConfigError("SUM_APPENDIX scenarios require x_dist")
 
@@ -170,7 +165,6 @@ class ScenarioConfig:
             "bootstrap_B": self.bootstrap_b,
             "quantile_grid": list(self.quantile_grid),
             "seed": self.seed,
-            "replicas": self.replicas,
         }
         if self.x_dist is not None:
             doc["x_dist"] = self.x_dist.to_json()
@@ -182,7 +176,7 @@ class ScenarioConfig:
             raise ConfigError("config must be a JSON object")
         required = {"schema_version", "name", "law", "alpha", "dominant",
                     "pool_size", "depth", "bootstrap_B", "quantile_grid", "seed"}
-        optional = {"replicas", "x_dist"}
+        optional = {"x_dist"}
         missing = required - set(doc)
         if missing:
             raise ConfigError(f"config is missing fields: {sorted(missing)}")
@@ -205,7 +199,6 @@ class ScenarioConfig:
             bootstrap_b=_integer(doc, "bootstrap_B"),
             quantile_grid=tuple(float(p) for p in grid),
             seed=_integer(doc, "seed"),
-            replicas=_integer(doc, "replicas") if "replicas" in doc else 1,
             x_dist=dist_from_json(x_doc) if x_doc is not None else None,
         )
 
@@ -314,12 +307,8 @@ class VerificationReport:
         return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        # the scenario echo drops the replica hint: like the thread count,
-        # it schedules work but never perturbs a single sampled value
-        scenario_doc = self.scenario.to_json_dict()
-        scenario_doc.pop("replicas", None)
         return {
-            "scenario": scenario_doc,
+            "scenario": self.scenario.to_json_dict(),
             "regime": self.regime.to_json(),
             "constants": self.constants.to_json(),
             "tail": self.tail.to_json_dict(),
@@ -376,10 +365,11 @@ class _Sampled(NamedTuple):
 
 
 def run_scenario(config: ScenarioConfig, threads: int | None = None) -> VerificationReport:
-    """Run the full verification pipeline for one scenario."""
-    threads = config.replicas if threads is None else threads
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
+    """Run the full verification pipeline for one scenario.
+
+    ``threads`` is inert; it stays only because the benchmark's tests pass it.
+    """
+    _check_pool_memory(config)
     regime = validate_regime(config.law, config.alpha)
     if regime.regime == KESTEN_CRITICAL:
         raise RegimeMismatch(
@@ -398,7 +388,7 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
     )
     streams = StreamTree(config.seed)
     run = _run_sum_scenario if config.dominant == DOMINANT_SUM else _run_tree_scenario
-    sampled = run(config, regime, constants, streams, threads)
+    sampled = run(config, regime, constants, streams)
 
     hill_k, hill_est, hill_ok = _hill_pin(sampled.sketch, config.alpha)
     summary = dict(sampled.tail.hill_curve)
@@ -426,6 +416,20 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
         coupled_gap=sampled.coupled_gap,
         verdicts=verdicts,
     )
+
+
+def _check_pool_memory(config: ScenarioConfig) -> None:
+    """Refuse a pool size whose float64 arrays cannot fit in physical memory at once.
+
+    A tree scenario's R loop holds about eight pools: R^(n-1), the two
+    chains, the pool being evolved (its blocks, then their concatenation), a
+    sorted copy of each KS sample and Z_N's sketch. A sum scenario holds its
+    sketch buffer, at least twice the top the Hill curve reads, and a block.
+    """
+    size = config.pool_size
+    values = (2 * tailstats.hill_curve_keep(size) + BLOCK if config.dominant == DOMINANT_SUM
+              else 8 * size)
+    simulate.check_memory(8 * values, f"scenario {config.name!r} with pool_size {size}")
 
 
 class _Moments(NamedTuple):
@@ -501,7 +505,7 @@ def _band_verdict(tail: TailReport, target: float) -> bool:
     return hits >= math.ceil(len(tail.quantile_grid) / 2)
 
 
-def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
+def _run_tree_scenario(config, regime, constants, streams) -> _Sampled:
     law, size = config.law, config.pool_size
     zn_dominant = config.dominant == DOMINANT_ZN
 
@@ -511,7 +515,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
     if zn_dominant:
         zn = simulate._run_blocks(
             lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
-            size, threads)
+            size)
         # every ZN-side ratio reads Z_N above its quantile at its largest grid
         # probability, so one sketch kept down to the largest of both grids
         # serves them all, and the full array is freed before the W pools
@@ -521,10 +525,10 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}
 
-    w_pool = simulate.init_pool(law, size, streams, kind=KIND_W, threads=threads)
+    w_pool = simulate.init_pool(law, size, streams, kind=KIND_W)
     var_w = float(w_pool.values.var(ddof=1)) / size
     for n in range(1, min(config.depth, MEAN_CHECK_MAX_N) + 1):
-        w_pool = simulate.evolve_pool_w(law, w_pool, streams, threads)
+        w_pool = simulate.evolve_pool_w(law, w_pool, streams)
         check = _mean_check("W", n, asymptotics.mean_w(law, n), _moments(w_pool.values),
                             prev_var=var_w, rho=regime.rho)
         var_w = check.stderr ** 2
@@ -549,21 +553,25 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
         chain0 = simulate.constant_pool(law, size, 0.0)
         chain_hi = simulate.constant_pool(law, size, KS_START)
 
-    r_pool = simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL, threads=threads)
+    r_pool = simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL)
     var_r = float(r_pool.values.var(ddof=1)) / size
     for n in range(1, config.depth + 1):
         if chain0 is not None:
-            chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams, threads)[-1]
-            chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams, threads)[-1]
-            ks_series[n] = tailstats.ks_distance(chain0.values, chain_hi.values)
+            chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)[-1]
+            chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams)[-1]
+            # both distances read chain 0 sorted once; ks_distance does not
+            # sort a sample that is already in ascending order
+            low = np.sort(chain0.values)
+            ks_series[n] = tailstats.ks_distance(low, chain_hi.values)
             # r_pool is R^(n-1) here: step 1 of the chain from 0 is Q = R^(0)
-            ks_cross[n] = tailstats.ks_distance(chain0.values, r_pool.values)
+            ks_cross[n] = tailstats.ks_distance(low, r_pool.values)
+            del low
             coupled_gap.append(_gap_check(n, chain_hi.values - chain0.values, var_gap, regime.rho))
             var_gap = coupled_gap[-1].stderr ** 2
             if n == KS_STEPS:
                 chain0 = chain_hi = None
                 coupled_gap = tuple(coupled_gap)
-        r_pool = simulate.evolve_pool_r(law, r_pool, streams, threads)
+        r_pool = simulate.evolve_pool_r(law, r_pool, streams)
         if n <= MEAN_CHECK_MAX_N:
             check = _mean_check("R", n, asymptotics.mean_r_partial(law, n),
                                 _moments(r_pool.values), prev_var=var_r, rho=regime.rho)
@@ -610,7 +618,7 @@ def _run_tree_scenario(config, regime, constants, streams, threads) -> _Sampled:
                     decay, ks_series, ks_cross, coupled_gap)
 
 
-def _run_sum_scenario(config, regime, constants, streams, threads) -> _Sampled:
+def _run_sum_scenario(config, regime, constants, streams) -> _Sampled:
     law, x_dist, alpha = config.law, config.x_dist, config.alpha
 
     x_index, x_scale = x_dist.tail_index(), x_dist.tail_scale()
@@ -637,7 +645,7 @@ def _run_sum_scenario(config, regime, constants, streams, threads) -> _Sampled:
     builder = tailstats.TailSketchBuilder(floor=x_min,
                                           keep=tailstats.hill_curve_keep(config.pool_size))
     moments = _RunningMoments()
-    for block, (lo, hi) in enumerate(simulate._block_ranges(config.pool_size)):
+    for block, lo, hi in simulate._block_ranges(config.pool_size):
         sums = simulate.sample_weighted_sum(
             law, x_dist, streams.child(TAG_SUM, 0, block), size=hi - lo)
         builder.add(sums)

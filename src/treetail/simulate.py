@@ -8,16 +8,15 @@ Two routes to the same laws:
   resampling child values with replacement from the previous pool, and
   scales to deep horizons at O(M) memory.
 
-Pool evolution is deterministic for a fixed seed regardless of thread
-count: output indices are partitioned into fixed blocks of ``streams.BLOCK``
-samples and each (purpose, generation, block) triple gets its own derived
-stream, so scheduling cannot change what any block draws.
+Pool evolution is deterministic for a fixed seed: the fixed blocks of
+``streams.BLOCK`` output indices are drawn in turn, each on the stream of its
+(purpose, generation, block), so no block depends on another or on the size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 
 import numpy as np
 
@@ -62,18 +61,24 @@ def _check_budget(law: BranchingLaw, depth: int, node_budget: int):
 
 
 def _grow(law, depth, rng, size, node_budget, accumulate_all):
-    """Shared breadth-first engine for exact R^(depth) and W_depth draws."""
-    tree = np.arange(size)
-    pi = np.ones(size)
-    totals = np.zeros(size)
-    nodes = size
-    hard_cap = _HARD_CAP_FACTOR * node_budget * size
+    """Shared breadth-first engine for exact R^(depth) and W_depth draws.
+
+    With ``size=None`` returns one float; otherwise an array of ``size``
+    independent trees grown side by side.
+    """
+    _check_budget(law, depth, node_budget)
+    m = 1 if size is None else int(size)
+    tree = np.arange(m)
+    pi = np.ones(m)
+    totals = np.zeros(m)
+    nodes = m
+    hard_cap = _HARD_CAP_FACTOR * node_budget * m
     for gen in range(depth + 1):
         if len(pi) == 0:
             break
         q, n, weights = law.draw_roots(len(pi), rng)
         if accumulate_all or gen == depth:
-            totals += np.bincount(tree, weights=q * pi, minlength=size)
+            totals += np.bincount(tree, weights=q * pi, minlength=m)
         if gen == depth:
             break
         tree = np.repeat(tree, n)
@@ -83,7 +88,7 @@ def _grow(law, depth, rng, size, node_budget, accumulate_all):
             raise BudgetExceeded(
                 f"realized tree hit {nodes} nodes, over the hard cap {hard_cap}"
             )
-    return totals
+    return float(totals[0]) if size is None else totals
 
 
 def sample_r_exact(
@@ -93,15 +98,8 @@ def sample_r_exact(
     size: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
-    """Exact draw(s) of the partial fixed-point sum R^(depth).
-
-    With ``size=None`` returns one float; otherwise an array of ``size``
-    independent trees grown side by side.
-    """
-    _check_budget(law, depth, node_budget)
-    scalar = size is None
-    totals = _grow(law, depth, rng, 1 if scalar else int(size), node_budget, accumulate_all=True)
-    return float(totals[0]) if scalar else totals
+    """Exact draw(s) of the partial fixed-point sum R^(depth), as ``_grow`` returns them."""
+    return _grow(law, depth, rng, size, node_budget, accumulate_all=True)
 
 
 def sample_w_exact(
@@ -111,11 +109,8 @@ def sample_w_exact(
     size: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
-    """Exact draw(s) of the generation-``depth`` weighted sum W_depth."""
-    _check_budget(law, depth, node_budget)
-    scalar = size is None
-    totals = _grow(law, depth, rng, 1 if scalar else int(size), node_budget, accumulate_all=False)
-    return float(totals[0]) if scalar else totals
+    """Exact draw(s) of the generation-``depth`` weighted sum W_depth, as ``_grow`` returns them."""
+    return _grow(law, depth, rng, size, node_budget, accumulate_all=False)
 
 
 def sample_weighted_sum(law, x_dist, rng, size: int | None = None):
@@ -135,23 +130,22 @@ def sample_weighted_sum(law, x_dist, rng, size: int | None = None):
 # population dynamics
 # ---------------------------------------------------------------------------
 
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ``BudgetExceeded``, before anything is allocated, if ``nbytes`` exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise BudgetExceeded(f"{what} would hold {nbytes / 2**30:.3g} GiB at once, "
+                             f"more than the {memory / 2**30:.3g} GiB of physical memory")
+
+
 def _block_ranges(size: int):
-    return [(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
+    """The fixed blocks (index, lo, hi) of a pool of ``size``, in order, one at a time."""
+    return ((b, lo, min(lo + BLOCK, size)) for b, lo in enumerate(range(0, size, BLOCK)))
 
 
-def _run_blocks(worker, size: int, threads: int) -> np.ndarray:
-    """Concatenate ``worker(block, lo, hi)`` over the fixed blocks of ``size``.
-
-    The one block scheduler of the pools: each worker derives its stream
-    from its block index, so the thread count never changes a value.
-    """
-    ranges = _block_ranges(size)
-    if threads <= 1 or len(ranges) == 1:
-        parts = [worker(b, lo, hi) for b, (lo, hi) in enumerate(ranges)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ib: worker(ib[0], *ib[1]), enumerate(ranges)))
-    return np.concatenate(parts)
+def _run_blocks(worker, size: int) -> np.ndarray:
+    """The one block scheduler: ``worker(block, lo, hi)`` over the fixed blocks, in turn, concatenated."""
+    return np.concatenate([worker(*bounds) for bounds in _block_ranges(size)])
 
 
 def init_pool(
@@ -159,7 +153,6 @@ def init_pool(
     size: int,
     streams: StreamTree,
     kind: str = KIND_R_PARTIAL,
-    threads: int = 1,
 ) -> SamplePool:
     """Generation-0 pool: W_0 = R^(0) = Q, drawn fresh from the law."""
     if kind not in (KIND_W, KIND_R_PARTIAL):
@@ -170,7 +163,7 @@ def init_pool(
     def worker(block, lo, hi):
         return law.sample_q_many(hi - lo, streams.child(TAG_POOL_INIT, 0, block))
 
-    values = _run_blocks(worker, int(size), threads)
+    values = _run_blocks(worker, int(size))
     return SamplePool(
         values=values,
         kind=kind,
@@ -193,7 +186,7 @@ def constant_pool(law: BranchingLaw, size: int, value: float, kind: str = KIND_R
     )
 
 
-def _evolve(law, pool, streams, add_q, out_kind, threads):
+def _evolve(law, pool, streams, add_q, out_kind):
     if pool.law_fingerprint != law.fingerprint():
         raise FingerprintMismatch(
             f"pool was built under law {pool.law_fingerprint}, asked to evolve under {law.fingerprint()}"
@@ -212,7 +205,7 @@ def _evolve(law, pool, streams, add_q, out_kind, threads):
         sums = np.bincount(idx, weights=weights * prev[picks], minlength=m)
         return sums + q if add_q else sums
 
-    values = _run_blocks(worker, prev.size, threads)
+    values = _run_blocks(worker, prev.size)
     return SamplePool(
         values=values,
         kind=out_kind,
@@ -222,18 +215,21 @@ def _evolve(law, pool, streams, add_q, out_kind, threads):
     )
 
 
-def evolve_pool_w(law: BranchingLaw, pool: SamplePool, streams: StreamTree, threads: int = 1) -> SamplePool:
+def evolve_pool_w(law: BranchingLaw, pool: SamplePool, streams: StreamTree) -> SamplePool:
     """One generation of  W_n = sum_k C_k W_{n-1,k}  by population resampling."""
     if pool.kind != KIND_W:
         raise DomainError(f"expected a {KIND_W} pool, got {pool.kind}")
-    return _evolve(law, pool, streams, add_q=False, out_kind=KIND_W, threads=threads)
+    return _evolve(law, pool, streams, add_q=False, out_kind=KIND_W)
 
 
 def evolve_pool_r(law: BranchingLaw, pool: SamplePool, streams: StreamTree, threads: int = 1) -> SamplePool:
-    """One horizon step of  R^(n) = Q + sum_k C_k R_k^(n-1)  by population resampling."""
+    """One horizon step of  R^(n) = Q + sum_k C_k R_k^(n-1)  by population resampling.
+
+    ``threads`` is inert; it stays only because the benchmark's tests pass it.
+    """
     if pool.kind != KIND_R_PARTIAL:
         raise DomainError(f"expected a {KIND_R_PARTIAL} pool, got {pool.kind}")
-    return _evolve(law, pool, streams, add_q=True, out_kind=KIND_R_PARTIAL, threads=threads)
+    return _evolve(law, pool, streams, add_q=True, out_kind=KIND_R_PARTIAL)
 
 
 def iterate_fixed_point(
@@ -241,7 +237,6 @@ def iterate_fixed_point(
     initial: SamplePool,
     steps: int,
     streams: StreamTree,
-    threads: int = 1,
 ) -> list[SamplePool]:
     """Fixed-point iteration R*_{k+1} = Q + sum_i C_i R*_{k,i} from any initial pool.
 
@@ -254,5 +249,5 @@ def iterate_fixed_point(
         raise DomainError(f"expected a {KIND_R_STAR} pool, got {initial.kind}")
     out = [initial]
     for _ in range(steps):
-        out.append(_evolve(law, out[-1], streams, add_q=True, out_kind=KIND_R_STAR, threads=threads))
+        out.append(_evolve(law, out[-1], streams, add_q=True, out_kind=KIND_R_STAR))
     return out

@@ -3,7 +3,7 @@
 All randomness in the package derives from a single master seed through
 ``numpy.random.SeedSequence`` spawn keys.  A stream is addressed by a path of
 small non-negative integers (purpose tag, generation, block, ...), so any
-component can be recomputed independently of scheduling or worker count.
+component can be recomputed on its own, in any order.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ TAG_SUM = 6
 TAG_BOOTSTRAP = 7
 TAG_MC = 8
 
-# Pool evolution is data-parallel over fixed blocks of output indices. The
-# block size is a format-level constant: changing it would change which
-# sub-stream each output index consumes, hence the sampled values.
+# Pool evolution runs over fixed blocks of output indices. The block size
+# is a format-level constant: changing it would change which sub-stream
+# each output index consumes, hence the sampled values.
 BLOCK = 1 << 16
 
 
@@ -49,9 +49,6 @@ class StreamTree:
     def child(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path + key)
         return np.random.default_rng(ss)
-
-    def subtree(self, *key: int) -> "StreamTree":
-        return StreamTree(self.seed, self.path + key)
 
     def lineage(self) -> str:
         joined = "/".join(str(p) for p in self.path)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,13 +302,26 @@ def test_verify_reports_wrongly_typed_config_fields_as_errors(runner, tmp_path, 
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize("command", ["simulate", "verify", "constants"])
 def test_threads_below_one_are_refused(runner, config_path, tmp_path, command, threads):
+    # sampling is serial and the flag is gone: any --threads is a usage error
     out = {"simulate": ["--out", str(tmp_path / "x.pool")],
            "verify": ["--out", str(tmp_path / "r")],
            "constants": []}[command]
     result = runner.invoke(cli, ["--threads", threads, command, config_path, *out])
+    assert result.exit_code == 2
+    assert "No such option '--threads'" in result.stderr
+    assert not (tmp_path / "x.pool").exists()
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind", ["r", "rstar", "w"])
+def test_simulate_refuses_a_pool_past_physical_memory(runner, tmp_path, kind):
+    config = write_config(tmp_path / "huge.json", pool_size=2 ** 62)
+    with mock.patch.object(simulate, "_run_blocks", side_effect=AssertionError("allocated")), \
+            mock.patch.object(simulate, "constant_pool", side_effect=AssertionError("allocated")):
+        result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool"), "--kind", kind])
     assert result.exit_code == 1
     assert "error:" in result.stderr
-    assert "threads" in result.stderr
+    assert "physical memory" in result.stderr
     assert not (tmp_path / "x.pool").exists()
 
 

@@ -20,7 +20,7 @@ from treetail import (
     run_scenario,
     write_report,
 )
-from treetail import dist_from_json, law_from_json, simulate, tailstats
+from treetail import dist_from_json, harness, law_from_json, simulate, tailstats
 from treetail.harness import (
     DECAY_GENERATIONS,
     KS_START,
@@ -33,7 +33,7 @@ from treetail.harness import (
 from treetail.pools import KIND_R_PARTIAL
 from treetail.streams import BLOCK, StreamTree
 from treetail.tailstats import TailSketch
-from treetail.errors import ConfigError, RegimeMismatch, TreetailError
+from treetail.errors import BudgetExceeded, ConfigError, RegimeMismatch, TreetailError
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -107,13 +107,15 @@ def test_shipped_configs_parse_and_roundtrip():
 
 
 def test_config_roundtrip_with_optional_fields():
-    cfg = ScenarioConfig.from_json(tiny_doc(replicas=4))
-    assert cfg.replicas == 4
+    cfg = ScenarioConfig.from_json(SUM_DOC)
+    assert cfg.x_dist is not None
+    assert cfg.to_json_dict() == SUM_DOC
     assert ScenarioConfig.from_json(cfg.to_json_dict()) == cfg
 
 
 @pytest.mark.parametrize("mutate,msg", [
     (lambda d: d.update(surprise=1), "unknown"),
+    (lambda d: d.update(replicas=1), "replicas"),
     (lambda d: d.pop("alpha"), "missing"),
     (lambda d: d.update(schema_version=2), "schema_version"),
     (lambda d: d.update(alpha=True), "number"),
@@ -288,22 +290,6 @@ def test_report_is_deterministic(tiny_report):
     assert again.to_json_dict() == tiny_report.to_json_dict()
 
 
-@pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])
-def test_threads_do_not_change_the_report(doc):
-    # three blocks, so four threads really split the work
-    config = ScenarioConfig.from_json(dict(doc, pool_size=2 * BLOCK + 5_000))
-    threaded = run_scenario(config, threads=4)
-    assert threaded.to_json_dict() == run_scenario(config, threads=1).to_json_dict()
-
-
-def test_replica_hint_does_not_change_the_report():
-    # three blocks, so two and eight workers really split the work
-    doc = tiny_doc(pool_size=2 * BLOCK + 5_000)
-    one, two, eight = (run_scenario(ScenarioConfig.from_json(dict(doc, replicas=r))).to_json_dict()
-                       for r in (1, 2, 8))
-    assert one == two == eight
-
-
 def test_tail_trend_starts_at_the_largest_grid_probability(tiny_report):
     trend = tiny_report.tail_trend
     assert trend.quantile_grid[0] == 0.05
@@ -374,6 +360,39 @@ def test_tree_scenario_peak_live_memory(name, pools):
     config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"),
                      pool_size=1 << 18, depth=KS_STEPS)
     assert _traced_peak(config) < pools * 8 * config.pool_size
+
+
+@pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])
+def test_a_pool_size_past_physical_memory_is_refused_before_any_allocation(doc):
+    config = ScenarioConfig.from_json(dict(doc, pool_size=2 ** 62))
+    with mock.patch.object(simulate, "_run_blocks", side_effect=AssertionError("allocated")), \
+            mock.patch.object(simulate, "sample_weighted_sum", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExceeded, match="physical memory"):
+            run_scenario(config)
+
+
+@pytest.mark.parametrize("doc, values", [
+    (tiny_doc(), 8 * 20_000),  # eight live pools
+    (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK),  # the sketch buffer and one block
+], ids=["tree", "sum"])
+def test_the_pool_memory_projection(doc, values):
+    config = ScenarioConfig.from_json(doc)
+    with _physical_memory(8 * values - 1):
+        with pytest.raises(BudgetExceeded):
+            run_scenario(config)
+    with _physical_memory(8 * values), mock.patch.object(harness, "validate_regime", side_effect=_Reached):
+        with pytest.raises(_Reached):
+            run_scenario(config)
+
+
+def _physical_memory(nbytes: int):
+    """Patch os.sysconf so that the machine has ``nbytes`` of physical memory, in pages of one byte."""
+    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    return mock.patch.object(simulate.os, "sysconf", side_effect=sysconf.__getitem__)
+
+
+class _Reached(Exception):
+    """Raised by a patched stage to show that the memory check let the run through."""
 
 
 def test_write_report_files(tiny_report, tmp_path):
