@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -288,6 +289,22 @@ def test_report_structure(tiny_report):
 def test_report_is_deterministic(tiny_report):
     again = run_scenario(ScenarioConfig.from_json(tiny_doc()))
     assert again.to_json_dict() == tiny_report.to_json_dict()
+
+
+@pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])
+def test_threads_do_not_change_the_report(doc, tmp_path):
+    # three blocks, so a thread pool would have had work to split; sampling is
+    # serial, so no thread starts and threads=4 writes the bytes of threads=1
+    config = ScenarioConfig.from_json(dict(doc, pool_size=2 * BLOCK + 5_000))
+    with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")) as start:
+        threaded = _report_bytes(run_scenario(config, threads=4), tmp_path / "four")
+    assert start.call_count == 0
+    assert threaded == _report_bytes(run_scenario(config, threads=1), tmp_path / "one")
+
+
+def _report_bytes(report, outdir) -> dict[str, bytes]:
+    out = write_report(report, outdir)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
 def test_tail_trend_starts_at_the_largest_grid_probability(tiny_report):
