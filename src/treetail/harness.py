@@ -559,13 +559,9 @@ def _run_tree_scenario(config, regime, constants, streams) -> _Sampled:
         if chain0 is not None:
             chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)[-1]
             chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams)[-1]
-            # both distances read chain 0 sorted once; ks_distance does not
-            # sort a sample that is already in ascending order
-            low = np.sort(chain0.values)
-            ks_series[n] = tailstats.ks_distance(low, chain_hi.values)
+            ks_series[n] = tailstats.ks_distance(chain0.values, chain_hi.values)
             # r_pool is R^(n-1) here: step 1 of the chain from 0 is Q = R^(0)
-            ks_cross[n] = tailstats.ks_distance(low, r_pool.values)
-            del low
+            ks_cross[n] = tailstats.ks_distance(chain0.values, r_pool.values)
             coupled_gap.append(_gap_check(n, chain_hi.values - chain0.values, var_gap, regime.rho))
             var_gap = coupled_gap[-1].stderr ** 2
             if n == KS_STEPS:

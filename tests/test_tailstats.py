@@ -172,27 +172,9 @@ def test_ks_distance_peak_memory():
 def test_ks_distance_peak_memory_on_heavy_ties():
     a = np.ones(1_000_000)
     b = RNG(17).random(1_000_000)
-    # the run of 1.0 holds cuts, so it is read once and never merged; the
-    # ones are already sorted and read in place (7.8 MiB; 15.4 MiB when they
-    # were copied, 16.8 MiB when every chunk was merged)
+    # the run of 1.0 holds cuts, so it is read once and never merged
+    # (15.4 MiB; 16.8 MiB when every chunk was merged)
     assert _peak_bytes(ks_distance, a, b) <= 16.5 * 2 ** 20
-
-
-def test_ks_distance_reads_sorted_samples_in_place():
-    rng = RNG(22)
-    a, b = rng.normal(size=1_000_000), rng.normal(0.05, size=1_000_000)
-    sorted_a, sorted_b = np.sort(a), np.sort(b)
-    d = ks_distance(a, b)
-    assert ks_distance(sorted_a, sorted_b) == ks_distance(sorted_a, b) == ks_distance(a, sorted_b) == d
-    # a sorted copy of one sample is 7.6 MiB; without any, the order check,
-    # the cuts and one merge peak at 1.0 MiB
-    assert _peak_bytes(ks_distance, sorted_a, sorted_b) <= 2 * 2 ** 20
-    assert _peak_bytes(ks_distance, sorted_a, b) <= 9 * 2 ** 20
-    # NaNs sort last, but fail the order check, so the sample is copied and sorted
-    a[rng.choice(a.size, 5, replace=False)] = np.nan
-    sorted_a = np.sort(a)
-    assert ks_distance(sorted_a, sorted_b) == ks_distance(a, b)
-    assert _peak_bytes(ks_distance, sorted_a, sorted_b) > 7.6 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
