@@ -18,9 +18,9 @@ from pathlib import Path
 
 import click
 
-from . import asymptotics, simulate as simkernel, tailstats
+from . import simulate as simkernel, tailstats
 from .errors import DomainError, TreetailError
-from .harness import load_config, run_scenario, write_report
+from .harness import load_config, run_scenario, scenario_constants, write_report
 from .pools import KIND_R_PARTIAL, KIND_W, export_csv, load_pool, save_pool
 from .streams import StreamTree, TAG_BOOTSTRAP
 
@@ -64,9 +64,7 @@ def _load(ctx, config_path):
 def constants(ctx, config_path):
     """Print the theoretical tail constants for a scenario config."""
     config = _load(ctx, config_path)
-    values = asymptotics.compute_constants(
-        config.law, config.alpha, n_max=max(30, min(config.depth, 200)))
-    doc = values.to_json()
+    doc = scenario_constants(config).to_json()
     if ctx.obj["fmt"] == "json":
         click.echo(json.dumps(doc, indent=2))
     else:

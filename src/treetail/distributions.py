@@ -85,9 +85,6 @@ class Distribution:
         arr = np.array(u, dtype=float)  # a copy: the inverse CDF writes into it
         return _maybe_scalar(self._inverse_cdf(arr), arr.ndim == 0)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.quantile(rng.random()))
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``quantile(rng.random(size))``, computed in the array of uniforms itself.
 

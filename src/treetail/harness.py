@@ -37,9 +37,11 @@ and a running mean and sum of squared deviations (the pairwise update of
 Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
 Am. Stat. 37, 1983). The sketch keeps every sum above the analytic
 denominator's smallest x and the top tenth that the Hill curve reads, and
-the tail ratio, the Hill curve and the Hill pin read only it.
-``_Sampled.sketch`` is that sketch, or in a tree scenario the sketch of the
-final R pool's top values.
+the tail ratio, the Hill curve and the Hill pin read only it. A tree
+scenario pins the Hill index on a sketch of the final R pool's top values.
+Both runners end in ``_report``, which pins the Hill index and builds the
+``VerificationReport``; ``write_report`` writes it as JSON by one rule,
+``_to_json``.
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,6 +85,7 @@ __all__ = [
     "DecayCheck",
     "VerificationReport",
     "load_config",
+    "scenario_constants",
     "run_scenario",
     "write_report",
 ]
@@ -260,15 +263,6 @@ class DecayCheck:
     admissible_rate: float
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ratios": {str(n): v for n, v in sorted(self.ratios.items())},
-            "fitted_rate": self.fitted_rate,
-            "r_squared": self.r_squared,
-            "admissible_rate": self.admissible_rate,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -307,28 +301,32 @@ class VerificationReport:
         return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_json_dict(),
-            "regime": self.regime.to_json(),
-            "constants": self.constants.to_json(),
-            "tail": self.tail.to_json_dict(),
-            "tail_trend": self.tail_trend.to_json_dict(),
-            "tail_target": self.tail_target,
-            "hill_k": self.hill_k,
-            "hill_estimate": self.hill_estimate,
-            "hill_summary": [[k, v] for k, v in self.hill_summary],
-            "mean_checks": [
-                {"kind": c.kind, "n": c.n, "predicted": c.predicted,
-                 "observed": c.observed, "stderr": c.stderr, "ok": c.ok}
-                for c in self.mean_checks
-            ],
-            "decay": self.decay.to_json_dict() if self.decay is not None else None,
-            "ks_series": {str(k): v for k, v in self.ks_series.items()} if self.ks_series else None,
-            "ks_cross": {str(k): v for k, v in self.ks_cross.items()} if self.ks_cross else None,
-            "coupled_gap": [g._asdict() for g in self.coupled_gap] if self.coupled_gap else None,
-            "verdicts": dict(self.verdicts),
-            "passed": self.passed,
-        }
+        return {**_fields_json(self), "passed": self.passed}
+
+
+def _to_json(value):
+    """The one rule that writes report records as JSON documents.
+
+    An object with its own ``to_json_dict`` or ``to_json`` writes itself. A
+    dataclass is written field by field in declaration order, a NamedTuple
+    through ``_asdict``; dict keys become strings and tuples become lists.
+    """
+    for method in ("to_json_dict", "to_json"):
+        if hasattr(value, method):
+            return getattr(value, method)()
+    if is_dataclass(value):
+        return _fields_json(value)
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {str(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _fields_json(record) -> dict:
+    return {f.name: _to_json(getattr(record, f.name)) for f in fields(record)}
 
 
 def write_report(report: VerificationReport, outdir) -> Path:
@@ -350,20 +348,6 @@ def write_report(report: VerificationReport, outdir) -> Path:
 # the pipeline
 # ---------------------------------------------------------------------------
 
-class _Sampled(NamedTuple):
-    """What a tree or sum scenario measured; ``run_scenario`` builds the report."""
-
-    sketch: TailSketch  # of the sample whose Hill index is pinned
-    tail: TailReport
-    target: float
-    mean_checks: list[MeanCheck]
-    verdicts: dict[str, bool]  # verdicts beyond tail_band, hill_index, mean_identities
-    decay: DecayCheck | None = None
-    ks_series: dict[int, float] | None = None
-    ks_cross: dict[int, float] | None = None
-    coupled_gap: tuple[CoupledGap, ...] | None = None
-
-
 def run_scenario(config: ScenarioConfig, threads: int | None = None) -> VerificationReport:
     """Run the full verification pipeline for one scenario.
 
@@ -383,39 +367,15 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None) -> Verifica
             f"scenario {config.name!r} declares dominant={config.dominant} but the law "
             f"validates as {regime.regime}: {detail}"
         )
-    constants = asymptotics.compute_constants(
-        config.law, config.alpha, n_max=max(30, min(config.depth, 200)), regime_report=regime,
-    )
-    streams = StreamTree(config.seed)
     run = _run_sum_scenario if config.dominant == DOMINANT_SUM else _run_tree_scenario
-    sampled = run(config, regime, constants, streams)
+    return run(config, regime, scenario_constants(config, regime), StreamTree(config.seed))
 
-    hill_k, hill_est, hill_ok = _hill_pin(sampled.sketch, config.alpha)
-    summary = dict(sampled.tail.hill_curve)
-    summary[hill_k] = hill_est
-    verdicts = {
-        "tail_band": _band_verdict(sampled.tail, sampled.target),
-        "hill_index": hill_ok,
-        "mean_identities": bool(all(c.ok for c in sampled.mean_checks)),
-        **sampled.verdicts,
-    }
-    return VerificationReport(
-        scenario=config,
-        regime=regime,
-        constants=constants,
-        tail=sampled.tail,
-        tail_trend=sampled.tail.trend,
-        tail_target=sampled.target,
-        hill_k=hill_k,
-        hill_estimate=hill_est,
-        hill_summary=tuple(sorted(summary.items())),
-        mean_checks=tuple(sampled.mean_checks),
-        decay=sampled.decay,
-        ks_series=sampled.ks_series,
-        ks_cross=sampled.ks_cross,
-        coupled_gap=sampled.coupled_gap,
-        verdicts=verdicts,
-    )
+
+def scenario_constants(config: ScenarioConfig,
+                       regime: RegimeReport | None = None) -> asymptotics.TheoryConstants:
+    """The scenario's closed-form constants, with h_n tabulated to its depth clamped to [30, 200]."""
+    return asymptotics.compute_constants(
+        config.law, config.alpha, n_max=max(30, min(config.depth, 200)), regime_report=regime)
 
 
 def _check_pool_memory(config: ScenarioConfig) -> None:
@@ -493,19 +453,30 @@ def _gap_check(step: int, gap: np.ndarray, prev_var: float, rho: float) -> Coupl
     return CoupledGap(step, check.predicted, check.observed, check.stderr, float(gap.min()))
 
 
-def _hill_pin(sketch: TailSketch, alpha: float) -> tuple[int, float, bool]:
-    """The Hill estimate at k = min(HILL_K, max(2, n_pos // 10)); the sketch holds its top k + 1."""
-    k = min(HILL_K, max(2, sketch.n_pos // 10))
-    est = tailstats.hill(sketch, k)
-    return k, est, bool(abs(est / alpha - 1.0) <= HILL_RTOL)
+def _report(config, regime, constants, sketch, tail, target, mean_checks, verdicts,
+            decay=None, ks_series=None, ks_cross=None, coupled_gap=None) -> VerificationReport:
+    """The report of a scenario run: every runner ends here.
 
-
-def _band_verdict(tail: TailReport, target: float) -> bool:
+    The Hill index is pinned at k = min(HILL_K, max(2, n_pos // 10)) on
+    ``sketch``, which holds its top k + 1. The band, Hill and mean-identity
+    verdicts come ahead of the runner's own ``verdicts``.
+    """
+    hill_k = min(HILL_K, max(2, sketch.n_pos // 10))
+    hill_est = tailstats.hill(sketch, hill_k)
     hits = sum(1 for lo, hi in zip(tail.ratio_ci_low, tail.ratio_ci_high) if lo <= target <= hi)
-    return hits >= math.ceil(len(tail.quantile_grid) / 2)
+    return VerificationReport(
+        scenario=config, regime=regime, constants=constants, tail=tail, tail_trend=tail.trend,
+        tail_target=target, hill_k=hill_k, hill_estimate=hill_est,
+        hill_summary=tuple(sorted({**tail.hill_curve, hill_k: hill_est}.items())),
+        mean_checks=tuple(mean_checks),
+        decay=decay, ks_series=ks_series, ks_cross=ks_cross, coupled_gap=coupled_gap,
+        verdicts={"tail_band": hits >= math.ceil(len(tail.quantile_grid) / 2),
+                  "hill_index": bool(abs(hill_est / config.alpha - 1.0) <= HILL_RTOL),
+                  "mean_identities": bool(all(c.ok for c in mean_checks)), **verdicts},
+    )
 
 
-def _run_tree_scenario(config, regime, constants, streams) -> _Sampled:
+def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport:
     law, size = config.law, config.pool_size
     zn_dominant = config.dominant == DOMINANT_ZN
 
@@ -610,11 +581,11 @@ def _run_tree_scenario(config, regime, constants, streams) -> _Sampled:
             and ks_cross[KS_STEPS] < KS_TOLERANCE
         )
     pinned = TailSketch.of(r_pool.values, keep=HILL_K + 1)
-    return _Sampled(pinned, tail, constants.h_limit, mean_checks, verdicts,
-                    decay, ks_series, ks_cross, coupled_gap)
+    return _report(config, regime, constants, pinned, tail, constants.h_limit, mean_checks,
+                   verdicts, decay, ks_series, ks_cross, coupled_gap)
 
 
-def _run_sum_scenario(config, regime, constants, streams) -> _Sampled:
+def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
     law, x_dist, alpha = config.law, config.x_dist, config.alpha
 
     x_index, x_scale = x_dist.tail_index(), x_dist.tail_scale()
@@ -656,4 +627,4 @@ def _run_sum_scenario(config, regime, constants, streams) -> _Sampled:
 
     predicted_mean = regime.rho * e_x + law.q_mean()
     check = _mean_check("SUM", 0, predicted_mean, moments.moments())
-    return _Sampled(sketch, tail, target, [check], {})
+    return _report(config, regime, constants, sketch, tail, target, [check], {})

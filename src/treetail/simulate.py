@@ -38,6 +38,9 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _HARD_CAP_FACTOR = 10
+# a node of an exact tree's deepest generation holds its tree index and path
+# weight and draws its Q and N: at least four 8-byte values
+_NODE_BYTES = 32
 
 _KIND_TAGS = {KIND_W: TAG_POOL_W, KIND_R_PARTIAL: TAG_POOL_R, KIND_R_STAR: TAG_POOL_RSTAR}
 
@@ -46,7 +49,8 @@ _KIND_TAGS = {KIND_W: TAG_POOL_W, KIND_R_PARTIAL: TAG_POOL_R, KIND_R_STAR: TAG_P
 # exact tree sampling
 # ---------------------------------------------------------------------------
 
-def _check_budget(law: BranchingLaw, depth: int, node_budget: int):
+def _check_budget(law: BranchingLaw, depth: int, size: int, node_budget: int):
+    """Refuse, before any draw, an expected generation past ``node_budget`` or trees past physical memory."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
     if node_budget <= 0:
@@ -58,16 +62,18 @@ def _check_budget(law: BranchingLaw, depth: int, node_budget: int):
         raise BudgetExceeded(
             f"expected generation size E[N]^depth = {e_n}^{depth} exceeds budget {node_budget}"
         )
+    # the deepest generation of all the trees is held at once
+    check_memory(int(_NODE_BYTES * size * max(1.0, e_n) ** depth),
+                 f"{size} exact trees of depth {depth}")
 
 
 def _grow(law, depth, rng, size, node_budget, accumulate_all):
     """Shared breadth-first engine for exact R^(depth) and W_depth draws.
 
-    With ``size=None`` returns one float; otherwise an array of ``size``
-    independent trees grown side by side.
+    Returns an array of ``size`` independent trees grown side by side.
     """
-    _check_budget(law, depth, node_budget)
-    m = 1 if size is None else int(size)
+    m = int(size)
+    _check_budget(law, depth, m, node_budget)
     tree = np.arange(m)
     pi = np.ones(m)
     totals = np.zeros(m)
@@ -88,17 +94,17 @@ def _grow(law, depth, rng, size, node_budget, accumulate_all):
             raise BudgetExceeded(
                 f"realized tree hit {nodes} nodes, over the hard cap {hard_cap}"
             )
-    return float(totals[0]) if size is None else totals
+    return totals
 
 
 def sample_r_exact(
     law: BranchingLaw,
     depth: int,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-):
-    """Exact draw(s) of the partial fixed-point sum R^(depth), as ``_grow`` returns them."""
+) -> np.ndarray:
+    """``size`` exact draws of the partial fixed-point sum R^(depth)."""
     return _grow(law, depth, rng, size, node_budget, accumulate_all=True)
 
 
@@ -106,24 +112,23 @@ def sample_w_exact(
     law: BranchingLaw,
     depth: int,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-):
-    """Exact draw(s) of the generation-``depth`` weighted sum W_depth, as ``_grow`` returns them."""
+) -> np.ndarray:
+    """``size`` exact draws of the generation-``depth`` weighted sum W_depth."""
     return _grow(law, depth, rng, size, node_budget, accumulate_all=False)
 
 
-def sample_weighted_sum(law, x_dist, rng, size: int | None = None):
-    """Draw(s) of the one-shot sum  sum_{i<=N} C_i X_i + Q  with i.i.d. X."""
-    scalar = size is None
-    m = 1 if scalar else int(size)
+def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
+    """``size`` draws of the one-shot sum  sum_{i<=N} C_i X_i + Q  with i.i.d. X."""
+    m = int(size)
     q, n, weights = law.draw_roots(m, rng)
     x = x_dist.sample_many(rng, int(n.sum()))
     x *= weights  # x is a fresh draw: the products and the sums reuse arrays
     del weights
     totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
     totals += q
-    return float(totals[0]) if scalar else totals
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -30,29 +30,26 @@ BLOCK = 1 << 16
 
 
 class StreamTree:
-    """A node in the seed-derivation tree.
+    """The root of the seed-derivation tree.
 
     ``child(*key)`` returns a fresh ``numpy.random.Generator`` whose
-    SeedSequence spawn key is this node's path extended by ``key``.  Distinct
-    paths give statistically independent streams; the same path always gives
-    the same stream.
+    SeedSequence spawn key is ``key``.  Distinct keys give statistically
+    independent streams; the same key always gives the same stream.
     """
 
-    __slots__ = ("seed", "path")
+    __slots__ = ("seed",)
 
-    def __init__(self, seed: int, path: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
 
     def child(self, *key: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.path + key)
+        ss = np.random.SeedSequence(self.seed, spawn_key=key)
         return np.random.default_rng(ss)
 
     def lineage(self) -> str:
-        joined = "/".join(str(p) for p in self.path)
-        return f"seed={self.seed}/{joined}" if joined else f"seed={self.seed}"
+        return f"seed={self.seed}"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StreamTree({self.lineage()})"

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from treetail import tailstats
+from treetail import simulate, tailstats
 from treetail.errors import DegenerateTail, DomainError, EmptyGrid
 
 
@@ -15,6 +16,15 @@ def _ks_by_searchsorted(a, b) -> float:
     cdf_a = np.searchsorted(sa, grid, side="right") / sa.size
     cdf_b = np.searchsorted(sb, grid, side="right") / sb.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+@pytest.fixture(scope="session")
+def physical_memory():
+    """Patch os.sysconf so that the machine has ``nbytes`` of physical memory, in pages of one byte."""
+    def patch(nbytes: int):
+        sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        return mock.patch.object(simulate.os, "sysconf", side_effect=sysconf.__getitem__)
+    return patch
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,20 @@ def test_constants_csv_output(runner, config_path):
     assert any(line.startswith("h_30,") for line in lines)
 
 
+def test_constants_prints_the_constants_block_of_the_report(runner, tmp_path):
+    # deeper than 30 generations, so that the h_n table follows the depth
+    config = write_config(tmp_path / "deep.json", depth=40)
+    result = runner.invoke(cli, ["--format", "json", "constants", config])
+    assert result.exit_code == 0, result.output
+    outdir = tmp_path / "report"
+    assert runner.invoke(cli, ["verify", config, "--out", str(outdir)]).exit_code in (0, 2)
+    block = json.loads((outdir / "report.json").read_text())["constants"]
+    printed = json.loads(result.output)
+    assert list(printed["h_n_table"]) == [str(n) for n in range(41)]
+    assert printed == block
+    assert list(printed) == list(block)
+
+
 def test_constants_rejects_malformed_config(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")

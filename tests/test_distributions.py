@@ -295,7 +295,7 @@ def test_sampling_is_reproducible():
     a = d.sample_many(np.random.default_rng(7), 100)
     b = d.sample_many(np.random.default_rng(7), 100)
     np.testing.assert_array_equal(a, b)
-    assert d.sample(np.random.default_rng(7)) == a[0]
+    assert d.sample_many(np.random.default_rng(7), 1)[0] == a[0]
 
 
 # ---------------------------------------------------------------------------

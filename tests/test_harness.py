@@ -3,8 +3,9 @@ import json
 import math
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -286,6 +287,39 @@ def test_report_structure(tiny_report):
     assert "replicas" not in doc["scenario"]
 
 
+class _Pair(NamedTuple):
+    k: int
+    value: float
+
+
+class _WritesItself:
+    def to_json_dict(self):
+        return {"z": 1, "a": [2]}
+
+
+@dataclass(frozen=True)
+class _Record:
+    by_step: dict
+    pair: _Pair
+    nested: tuple
+    missing: None
+    own: _WritesItself
+
+
+def test_the_json_rule():
+    record = _Record({3: 0.5, 1: 0.25}, _Pair(2, 1.5), ((1, 2.0), (3, (4, _Pair(5, 6.0)))),
+                     None, _WritesItself())
+    expected = {
+        "by_step": {"3": 0.5, "1": 0.25},
+        "pair": {"k": 2, "value": 1.5},
+        "nested": [[1, 2.0], [3, [4, {"k": 5, "value": 6.0}]]],
+        "missing": None,
+        "own": {"z": 1, "a": [2]},
+    }
+    # json.dumps keeps key order, so the text compares it too
+    assert json.dumps(harness._to_json(record)) == json.dumps(expected)
+
+
 def test_report_is_deterministic(tiny_report):
     again = run_scenario(ScenarioConfig.from_json(tiny_doc()))
     assert again.to_json_dict() == tiny_report.to_json_dict()
@@ -392,20 +426,14 @@ def test_a_pool_size_past_physical_memory_is_refused_before_any_allocation(doc):
     (tiny_doc(), 8 * 20_000),  # eight live pools
     (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK),  # the sketch buffer and one block
 ], ids=["tree", "sum"])
-def test_the_pool_memory_projection(doc, values):
+def test_the_pool_memory_projection(doc, values, physical_memory):
     config = ScenarioConfig.from_json(doc)
-    with _physical_memory(8 * values - 1):
+    with physical_memory(8 * values - 1):
         with pytest.raises(BudgetExceeded):
             run_scenario(config)
-    with _physical_memory(8 * values), mock.patch.object(harness, "validate_regime", side_effect=_Reached):
+    with physical_memory(8 * values), mock.patch.object(harness, "validate_regime", side_effect=_Reached):
         with pytest.raises(_Reached):
             run_scenario(config)
-
-
-def _physical_memory(nbytes: int):
-    """Patch os.sysconf so that the machine has ``nbytes`` of physical memory, in pages of one byte."""
-    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
-    return mock.patch.object(simulate.os, "sysconf", side_effect=sysconf.__getitem__)
 
 
 class _Reached(Exception):

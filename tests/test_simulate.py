@@ -55,10 +55,10 @@ def test_exact_sampler_on_a_deterministic_chain():
     np.testing.assert_allclose(w, 0.5 ** 5, rtol=0, atol=0)
 
 
-def test_exact_sampler_scalar_mode():
-    value = sample_r_exact(chain_law(), 3, np.random.default_rng(0))
-    assert isinstance(value, float)
-    assert value == sum(0.5 ** k for k in range(4))
+def test_exact_sampler_one_tree():
+    value = sample_r_exact(chain_law(), 3, np.random.default_rng(0), size=1)
+    assert value.shape == (1,)
+    assert value[0] == sum(0.5 ** k for k in range(4))
 
 
 def test_exact_sampler_depth_zero_is_q():
@@ -84,12 +84,33 @@ def test_exact_sampler_budget():
         sample_r_exact(law, 5, np.random.default_rng(0), size=10, node_budget=20)
 
 
+class _Reached(Exception):
+    """Raised by a patched root draw to show that the budget checks let the trees through."""
+
+
+def test_exact_trees_past_physical_memory_are_refused_before_any_draw(physical_memory):
+    # 2^20 nodes per tree pass the per-tree budget of 10^7, but 10^6 such
+    # trees would hold 32 bytes times 2^20 times 10^6, about 31 TiB, at once
+    law = IndependentIID(Exponential(1.0), Constant(2.0), Uniform(0.0, 0.4))
+    with mock.patch.object(IndependentIID, "draw_roots", side_effect=AssertionError("drew roots")):
+        with pytest.raises(BudgetExceeded, match="physical memory"):
+            sample_r_exact(law, 20, np.random.default_rng(0), size=10 ** 6)
+        # ten trees of depth 5 project 32 bytes times 2^5 times 10
+        with physical_memory(32 * 2 ** 5 * 10 - 1), pytest.raises(BudgetExceeded, match="physical memory"):
+            sample_w_exact(law, 5, np.random.default_rng(0), size=10)
+    with physical_memory(32 * 2 ** 5 * 10), \
+            mock.patch.object(IndependentIID, "draw_roots", side_effect=_Reached):
+        with pytest.raises(_Reached):
+            sample_w_exact(law, 5, np.random.default_rng(0), size=10)
+
+
 def test_weighted_sum_oracle():
     law = DeterministicWeight(Constant(1.0), Constant(2.0), 0.5)
     out = sample_weighted_sum(law, Constant(3.0), np.random.default_rng(0), size=50)
     np.testing.assert_allclose(out, 1.0 + 0.5 * 6.0, rtol=0, atol=0)
-    scalar = sample_weighted_sum(law, Constant(3.0), np.random.default_rng(0))
-    assert scalar == 4.0
+    one = sample_weighted_sum(law, Constant(3.0), np.random.default_rng(0), size=1)
+    assert one.shape == (1,)
+    assert one[0] == 4.0
 
 
 def test_weighted_sum_mean():
