@@ -222,12 +222,11 @@ class TheoryConstants:
 def compute_constants(
     law: BranchingLaw,
     alpha: float,
-    epsilon: float = 0.5,
     n_max: int = 30,
     regime_report: RegimeReport | None = None,
 ) -> TheoryConstants:
     """Evaluate the regime-appropriate tail constants for a law."""
-    report = regime_report if regime_report is not None else validate_regime(law, alpha, epsilon)
+    report = regime_report if regime_report is not None else validate_regime(law, alpha)
     if report.regime not in (ZN_DOMINATES, Q_DOMINATES):
         raise DomainError(
             f"tail constants are defined for the dominant-tail regimes, got {report.regime}: "

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Constant, Distribution, ZetaTail, dist_from_json
+from .distributions import Constant, Distribution, dist_from_json
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -47,6 +47,8 @@ INVALID = "INVALID"
 
 _KESTEN_TOL = 1e-9
 _INDEX_TOL = 1e-9
+# the margin above alpha at which the theorems ask for finite moments
+EPSILON = 0.5
 
 
 class RootBatch(NamedTuple):
@@ -185,15 +187,9 @@ class IndependentIID(BranchingLaw):
         return self.c_dist.mean()
 
     def zn_tail_index(self):
-        n_idx = self.n_dist.tail_index()
-        c_idx = self.c_dist.tail_index()
-        if n_idx is not None and (c_idx is None or c_idx > n_idx):
-            return n_idx
-        if c_idx is not None and n_idx is None:
-            return c_idx
-        if c_idx is not None and n_idx is not None:
-            return min(n_idx, c_idx)
-        return None
+        # the heavier of N and C sets the index of Z_N
+        indices = (self.n_dist.tail_index(), self.c_dist.tail_index())
+        return min((i for i in indices if i is not None), default=None)
 
     def zn_tail_scale(self):
         # Only the count-dominant case (heavy N, lighter C) has the clean
@@ -363,10 +359,7 @@ class InverseN(BranchingLaw):
         if isinstance(nd, Constant):
             m = int(nd.value)
             return 0.0 if m == 0 else float(m) ** power
-        if isinstance(nd, ZetaTail):
-            # support is {1, 2, ...} so no restriction is needed
-            return 1.0 if power == 0 else nd.moment(power)
-        if nd.support_min() >= 1:
+        if nd.support_min() >= 1:  # e.g. ZetaTail: no restriction is needed
             return 1.0 if power == 0 else nd.moment(power)
         return None
 
@@ -456,7 +449,7 @@ def _json_num(x):
     return "inf" if math.isinf(x) else x
 
 
-def validate_regime(law: BranchingLaw, alpha: float, epsilon: float = 0.5) -> RegimeReport:
+def validate_regime(law: BranchingLaw, alpha: float) -> RegimeReport:
     """Classify which tail regime the law falls in at index alpha.
 
     The classification mirrors the hypotheses of the two dominant-tail
@@ -464,12 +457,11 @@ def validate_regime(law: BranchingLaw, alpha: float, epsilon: float = 0.5) -> Re
     tail and the additive input is lighter, Q_DOMINATES for the mirror
     image, KESTEN_CRITICAL when rho_alpha sits at 1 (where the constant
     would degenerate and an entirely different theory applies), and
-    SUBCRITICAL_LIGHT when neither component is regularly varying.
+    SUBCRITICAL_LIGHT when neither component is regularly varying. The
+    moment conditions are checked at alpha + ``EPSILON``.
     """
     if alpha <= 1:
         raise DomainError("tail index alpha must exceed 1")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
 
     rho = law.rho_beta(1.0)
     rho_alpha = law.rho_beta(alpha)
@@ -498,12 +490,12 @@ def validate_regime(law: BranchingLaw, alpha: float, epsilon: float = 0.5) -> Re
     elif abs(zn_idx - alpha) > _INDEX_TOL:
         zn_viol.append(f"Z_N tail index {zn_idx:g} != alpha {alpha:g}")
     else:
-        if not law.q_abs_moment_finite(alpha + epsilon):
+        if not law.q_abs_moment_finite(alpha + EPSILON):
             zn_viol.append("E[|Q|^(alpha+epsilon)] infinite")
         q_mean = law.q_mean()
         if q_mean is None or math.isinf(q_mean) or q_mean <= 0:
             zn_viol.append("E[Q] <= 0 or unavailable")
-        rho_eps = law.rho_beta(alpha + epsilon)
+        rho_eps = law.rho_beta(alpha + EPSILON)
         if rho_eps is None or math.isinf(rho_eps):
             zn_viol.append("rho_(alpha+epsilon) infinite or unavailable")
     if not zn_viol:
@@ -515,7 +507,7 @@ def validate_regime(law: BranchingLaw, alpha: float, epsilon: float = 0.5) -> Re
     elif abs(q_idx - alpha) > _INDEX_TOL:
         q_viol.append(f"Q tail index {q_idx:g} != alpha {alpha:g}")
     else:
-        if not law.zn_moment_finite(alpha + epsilon):
+        if not law.zn_moment_finite(alpha + EPSILON):
             q_viol.append("E[Z_N^(alpha+epsilon)] infinite")
     if not q_viol:
         return RegimeReport(alpha, rho, rho_alpha, Q_DOMINATES, ())

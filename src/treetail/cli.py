@@ -95,10 +95,9 @@ def simulate(ctx, config_path, out, kind, depth, csv_path):
     simkernel.check_memory(3 * 8 * config.pool_size, f"simulate with pool_size {config.pool_size}")
     streams = StreamTree(config.seed)
     if kind == "rstar":
-        pool = simkernel.constant_pool(config.law, config.pool_size, 0.0)
-        # one step at a time, so that only the last pool of the trajectory is kept
-        for _ in range(depth):
-            pool = simkernel.iterate_fixed_point(config.law, pool, 1, streams)[-1]
+        # the start is not bound here, so only the last iterate is kept
+        pool = simkernel.iterate_fixed_point(
+            config.law, simkernel.constant_pool(config.law, config.pool_size, 0.0), depth, streams)
     else:
         pool_kind = KIND_W if kind == "w" else KIND_R_PARTIAL
         pool = simkernel.init_pool(config.law, config.pool_size, streams, kind=pool_kind)

@@ -45,7 +45,8 @@ Both runners end in ``_report``, which pins the Hill index and builds the
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
-own derived stream; ``simulate._run_blocks`` is the one block scheduler.
+own derived stream: ``simulate._blocks`` yields each block's stream and
+length, and ``simulate._run_blocks`` draws them into one array.
 """
 
 from __future__ import annotations
@@ -484,9 +485,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
     # it under Q dominance moves no other value
     zn = None
     if zn_dominant:
-        zn = simulate._run_blocks(
-            lambda block, lo, hi: sample_zn_many(law, hi - lo, streams.child(TAG_ZN, 0, block)),
-            size)
+        zn = simulate._run_blocks(lambda rng, m: sample_zn_many(law, m, rng), streams, TAG_ZN, 0, size)
         # every ZN-side ratio reads Z_N above its quantile at its largest grid
         # probability, so one sketch kept down to the largest of both grids
         # serves them all, and the full array is freed before the W pools
@@ -528,8 +527,8 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
     var_r = float(r_pool.values.var(ddof=1)) / size
     for n in range(1, config.depth + 1):
         if chain0 is not None:
-            chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)[-1]
-            chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams)[-1]
+            chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)
+            chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams)
             ks_series[n] = tailstats.ks_distance(chain0.values, chain_hi.values)
             # r_pool is R^(n-1) here: step 1 of the chain from 0 is Q = R^(0)
             ks_cross[n] = tailstats.ks_distance(chain0.values, r_pool.values)
@@ -552,7 +551,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
     else:
         tail = tailstats.tail_ratio_analytic(
-            r_pool.values, law.q_dist.ccdf, law.q_dist.quantile, config.quantile_grid,
+            r_pool.values, law.q_dist, config.quantile_grid,
             bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
 
     decay = None
@@ -612,16 +611,15 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
     builder = tailstats.TailSketchBuilder(floor=x_min,
                                           keep=tailstats.hill_curve_keep(config.pool_size))
     moments = _RunningMoments()
-    for block, lo, hi in simulate._block_ranges(config.pool_size):
-        sums = simulate.sample_weighted_sum(
-            law, x_dist, streams.child(TAG_SUM, 0, block), size=hi - lo)
+    for rng, m in simulate._blocks(streams, TAG_SUM, 0, config.pool_size):
+        sums = simulate.sample_weighted_sum(law, x_dist, rng, size=m)
         builder.add(sums)
         moments.add(sums)
         del sums  # before the next block is drawn
     sketch = builder.build()
 
     tail = tailstats.tail_ratio_analytic(
-        sketch, x_dist.ccdf, x_dist.quantile, config.quantile_grid,
+        sketch, x_dist, config.quantile_grid,
         bootstrap_b=config.bootstrap_b, rng=streams.child(TAG_BOOTSTRAP, 0, 0),
         trend_rng=streams.child(TAG_BOOTSTRAP, 2, 0))
 

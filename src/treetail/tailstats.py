@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -353,8 +353,8 @@ def hill(samples, k: int) -> float:
     return float(1.0 / np.mean(np.log(logs, out=logs)))
 
 
-def hill_curve(samples, points: int = 9) -> dict[int, float]:
-    """Hill estimates over a geometric sweep of k in [n/200, n/10].
+def hill_curve(samples) -> dict[int, float]:
+    """Hill estimates at nine geometrically spaced k in [n/200, n/10], equal k merged.
 
     ``samples`` is an array, left unchanged, or a ``TailSketch`` that holds
     the top ``hill_curve_keep(n)`` values. From an array those values are
@@ -368,7 +368,7 @@ def hill_curve(samples, points: int = 9) -> dict[int, float]:
         raise DomainError("need at least 3 positive samples for a Hill curve")
     lo = max(2, n_pos // 200)
     hi = max(lo, min(n_pos - 1, n_pos // 10))
-    ks = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
+    ks = np.unique(np.rint(np.geomspace(lo, hi, 9)).astype(int))
     return {int(k): hill(samples, int(k)) for k in ks}
 
 
@@ -463,30 +463,28 @@ def _half_decades(p_max: float, n: int) -> np.ndarray:
 
 
 def _x_grid(den, grid: np.ndarray) -> np.ndarray:
-    """The denominator's quantiles at 1 - ``grid``: exact, or numpy's ``"higher"`` rule."""
-    if isinstance(den, tuple):
-        den_quantile = den[1]
-        return np.asarray([float(den_quantile(1.0 - p)) for p in grid])
-    return den.quantile_higher(1.0 - grid)
+    """The denominator's quantiles at 1 - ``grid``: numpy's ``"higher"`` rule on a sketch, else exact."""
+    if isinstance(den, TailSketch):
+        return den.quantile_higher(1.0 - grid)
+    return np.asarray([float(den.quantile(1.0 - p)) for p in grid])
 
 
 def _ratio_at(num: TailSketch, den, grid: np.ndarray, min_exceedances: int,
               bootstrap_b: int, level: float, rng: np.random.Generator) -> TailReport:
     """Ratio of ``num`` at the denominator's ``grid`` quantiles.
 
-    ``den`` is either a sketch or a (ccdf, quantile) pair for an exact
-    denominator, which is exempt from the exceedance floor and the bootstrap.
-    Both sketches must have their cutoff at or below the smallest x.
+    ``den`` is either a sketch or a law with ``ccdf`` and ``quantile``, an
+    exact denominator, which is exempt from the exceedance floor and the
+    bootstrap. Both sketches must have their cutoff at or below the smallest x.
     """
-    analytic = isinstance(den, tuple)
+    analytic = not isinstance(den, TailSketch)
     x = _x_grid(den, grid)
     keep = _dedupe_increasing(x)
     grid, x = grid[keep], x[keep]
 
     c_num = num.exceedances(x)
     if analytic:
-        den_ccdf = den[0]
-        p_den = np.asarray([float(den_ccdf(v)) for v in x])
+        p_den = np.asarray([float(den.ccdf(v)) for v in x])
         keep = (c_num >= min_exceedances) & (p_den > 0.0)
         if not np.any(keep):
             raise EmptyGrid("no grid point retains the minimum exceedance count in the numerator")
@@ -529,7 +527,7 @@ def _ratio_at(num: TailSketch, den, grid: np.ndarray, min_exceedances: int,
 
 def _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, rng,
                  with_hill, trend_rng) -> TailReport:
-    """The tail report of ``num`` against ``den``, either of them a sample or a sketch.
+    """The tail report of ``num``, a sample or a sketch, against ``den``, which is also a law.
 
     A sample is turned into a sketch first, in one gather: the denominator's
     cutoff lies just below the order statistic that is the smallest x, the
@@ -554,7 +552,7 @@ def _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, r
     report = _ratio_at(num, den, grid, min_exceedances, bootstrap_b, level, rng)
     trend = None
     if trend_rng is not None:
-        n = num.n if isinstance(den, tuple) else min(num.n, den.n)
+        n = min(num.n, den.n) if isinstance(den, TailSketch) else num.n
         ladder = _half_decades(report.quantile_grid[0], n)
         trend = _ratio_at(num, den, ladder, min_exceedances, bootstrap_b, level, trend_rng)
     return replace(report, hill_curve=hill_curve(num) if with_hill else {}, trend=trend)
@@ -605,8 +603,7 @@ def tail_ratio(
 
 def tail_ratio_analytic(
     num_samples,
-    den_ccdf: Callable[[np.ndarray], np.ndarray],
-    den_quantile: Callable[[np.ndarray], np.ndarray],
+    den,
     quantile_grid,
     min_exceedances: int = 100,
     bootstrap_b: int = 1000,
@@ -615,17 +612,17 @@ def tail_ratio_analytic(
     with_hill: bool = True,
     trend_rng: np.random.Generator | None = None,
 ) -> TailReport:
-    """Tail ratio against a closed-form denominator CCDF.
+    """Tail ratio against a law ``den``, such as a ``Distribution``, with closed-form ccdf and quantile.
 
     Same contract as ``tail_ratio`` but the denominator is exact, so the
     exceedance floor and the bootstrap apply to the numerator side only.
     ``num_samples`` is an array, not sorted or changed, or a ``TailSketch``
-    whose cutoff is at most den_quantile(1 - p_max) and that holds, for the
+    whose cutoff is at most den.quantile(1 - p_max) and that holds, for the
     Hill curve, the top ``hill_curve_keep(n)`` values.
     """
     num = _samples_or_sketch(num_samples, "num_samples")
-    return _tail_report(num, (den_ccdf, den_quantile), quantile_grid, min_exceedances,
-                        bootstrap_b, level, rng, with_hill, trend_rng)
+    return _tail_report(num, den, quantile_grid, min_exceedances, bootstrap_b, level, rng,
+                        with_hill, trend_rng)
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ def _tail_ratio_sorted(num_samples, den_samples, quantile_grid, **kwargs):
     return _tail_report_sorted(num, den, quantile_grid, **kwargs)
 
 
-def _tail_ratio_analytic_sorted(num_samples, den_ccdf, den_quantile, quantile_grid, **kwargs):
+def _tail_ratio_analytic_sorted(num_samples, den, quantile_grid, **kwargs):
     num = np.sort(tailstats._as_samples(num_samples, "num_samples"))
-    return _tail_report_sorted(num, (den_ccdf, den_quantile), quantile_grid, **kwargs)
+    return _tail_report_sorted(num, (den.ccdf, den.quantile), quantile_grid, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,18 @@ def test_zn_of_deterministic_weight_sits_on_a_lattice():
 # construction guards
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n_dist, c_dist, index", [
+    (Constant(2.0), Uniform(0.0, 0.5), None),
+    (ZetaTail(2.0), Uniform(0.0, 0.5), 2.0),
+    (Constant(2.0), Pareto(3.0, 0.1), 3.0),
+    (ZetaTail(2.0), Pareto(1.5, 0.1), 1.5),
+    (ZetaTail(2.0), Pareto(3.0, 0.1), 2.0),
+], ids=["neither", "n", "c", "both, c heavier", "both, n heavier"])
+def test_independent_iid_zn_tail_index_is_the_heavier_of_n_and_c(n_dist, c_dist, index):
+    law = IndependentIID(Exponential(1.0), n_dist, c_dist)
+    assert law.zn_tail_index() == index
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         IndependentIID(Constant(0.0), Constant(2.0), Uniform(0.0, 0.5))
@@ -214,8 +226,6 @@ def test_regime_report_json_uses_inf_marker():
 def test_validate_regime_domain():
     with pytest.raises(DomainError):
         validate_regime(zn_baseline_law(), 1.0)
-    with pytest.raises(DomainError):
-        validate_regime(zn_baseline_law(), 2.0, epsilon=0.0)
 
 
 # ---------------------------------------------------------------------------

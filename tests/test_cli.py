@@ -1,9 +1,11 @@
 """End-to-end exercises of the command line through click's test runner."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +26,8 @@ from treetail.pools import (
     save_pool,
 )
 from treetail.streams import StreamTree
+
+from test_acceptance import PINNED_NUMPY
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -144,10 +148,48 @@ def test_simulate_rstar_is_the_last_iterate(runner, config_path, tmp_path):
     assert result.exit_code == 0, result.output
     config = load_config(config_path)
     start = simulate.constant_pool(config.law, config.pool_size, 0.0)
-    last = simulate.iterate_fixed_point(config.law, start, config.depth, StreamTree(config.seed))[-1]
+    last = simulate.iterate_fixed_point(config.law, start, config.depth, StreamTree(config.seed))
     expected = tmp_path / "expected.pool"
     save_pool(last, expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_simulate_rstar_holds_one_iterate_at_a_time(runner, tmp_path):
+    # a step holds the last iterate and the new one's blocks and their
+    # concatenation: 4.57 pool sizes traced at 2^18 samples, and 5.57 when
+    # the all-zero start is kept alive through the iteration
+    size = 1 << 18
+    config = write_config(tmp_path / "big.json", pool_size=size, depth=4)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool"),
+                                     "--kind", "rstar"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < 5 * 8 * size
+
+
+# sha256 of the pool file ``simulate`` writes from this module's config, per
+# --kind. Sampled values must not move; like the report pins, these depend
+# on numpy's generators and are checked against the numpy they were
+# recorded with.
+POOL_SHA256 = {
+    "w": "c96acc4614935abda5df49f583d089ab8caac0a379aaf092c1a9d16558c96d86",
+    "r": "0581e61662234d499c2ba8fe7d33e3c2f433a9e5f2d6426c5c52f8f663f4c691",
+    "rstar": "b8de93923c1c753f4b9eef4aa4e857c267b134647c1e271f63dd99041ddfcdb1",
+}
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason=f"pool bytes were pinned with numpy {PINNED_NUMPY}")
+@pytest.mark.parametrize("kind", sorted(POOL_SHA256))
+def test_simulate_pool_bytes_are_pinned(runner, config_path, tmp_path, kind):
+    out = tmp_path / f"{kind}.pool"
+    result = runner.invoke(cli, ["simulate", config_path, "--out", str(out), "--kind", kind])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POOL_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", ["w", "r", "rstar"])

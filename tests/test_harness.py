@@ -362,14 +362,16 @@ def test_lockstep_chains_match_full_trajectories(ks_reference):
     config = ScenarioConfig.from_json(tiny_doc(depth=KS_STEPS))
     rep = run_scenario(config, threads=1)
     law, size, streams = config.law, config.pool_size, StreamTree(config.seed)
-    low = simulate.iterate_fixed_point(
-        law, simulate.constant_pool(law, size, 0.0), KS_STEPS, streams)
-    high = simulate.iterate_fixed_point(
-        law, simulate.constant_pool(law, size, KS_START), KS_STEPS, streams)
+    steps = range(1, KS_STEPS + 1)
+
+    def chain(start):  # step k of a chain by one k-step call from its start
+        return {k: simulate.iterate_fixed_point(law, simulate.constant_pool(law, size, start), k, streams)
+                for k in steps}
+
+    low, high = chain(0.0), chain(KS_START)
     horizons = [simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL)]
     while len(horizons) < KS_STEPS:
         horizons.append(simulate.evolve_pool_r(law, horizons[-1], streams))
-    steps = range(1, KS_STEPS + 1)
     assert rep.ks_series == {k: ks_reference(low[k].values, high[k].values) for k in steps}
     assert rep.ks_cross == {k: ks_reference(low[k].values, horizons[k - 1].values) for k in steps}
     gaps, var_gap = [], 0.0

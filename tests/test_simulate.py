@@ -80,8 +80,6 @@ def test_exact_sampler_budget():
     law = IndependentIID(Exponential(1.0), Constant(2.0), Uniform(0.0, 0.4))
     with pytest.raises(BudgetExceeded):
         sample_r_exact(law, 40, np.random.default_rng(0), size=10)
-    with pytest.raises(BudgetExceeded):
-        sample_r_exact(law, 5, np.random.default_rng(0), size=10, node_budget=20)
 
 
 class _Reached(Exception):
@@ -102,6 +100,22 @@ def test_exact_trees_past_physical_memory_are_refused_before_any_draw(physical_m
             mock.patch.object(IndependentIID, "draw_roots", side_effect=_Reached):
         with pytest.raises(_Reached):
             sample_w_exact(law, 5, np.random.default_rng(0), size=10)
+
+
+def test_a_realized_generation_past_physical_memory_is_refused_before_it_is_allocated(physical_memory):
+    # with E[N] patched to 1 the ten trees project 32 bytes times 10 nodes,
+    # but N = 2 makes generation 1 hold 20 nodes, 640 bytes
+    law = IndependentIID(Exponential(1.0), Constant(2.0), Uniform(0.0, 0.4))
+    with mock.patch.object(IndependentIID, "mean_n", return_value=1.0), \
+            mock.patch.object(np, "repeat", side_effect=AssertionError("repeated")):
+        with physical_memory(32 * 20 - 1), pytest.raises(BudgetExceeded, match="physical memory"):
+            sample_r_exact(law, 3, np.random.default_rng(0), size=10)
+    # the deepest generation, 80 nodes, is the largest each tree reaches
+    with mock.patch.object(IndependentIID, "mean_n", return_value=1.0):
+        with physical_memory(32 * 80 - 1), pytest.raises(BudgetExceeded, match="generation 3 of 10"):
+            sample_w_exact(law, 3, np.random.default_rng(0), size=10)
+        with physical_memory(32 * 80):
+            assert sample_w_exact(law, 3, np.random.default_rng(0), size=10).shape == (10,)
 
 
 def test_weighted_sum_oracle():
@@ -220,12 +234,15 @@ def test_iterate_fixed_point_structure():
     law = smooth_law()
     streams = StreamTree(31)
     start = constant_pool(law, 20_000, 0.0)
-    chain = iterate_fixed_point(law, start, 4, streams)
-    assert len(chain) == 5
-    assert [p.generation for p in chain] == [0, 1, 2, 3, 4]
-    assert chain[0] is start
-    only = iterate_fixed_point(law, start, 0, streams)
-    assert only == [start]
+    last = iterate_fixed_point(law, start, 4, streams)
+    assert last.kind == KIND_R_STAR
+    assert last.generation == 4
+    # one call of k steps is k calls of one step
+    step = start
+    for _ in range(4):
+        step = iterate_fixed_point(law, step, 1, streams)
+    np.testing.assert_array_equal(last.values, step.values)
+    assert iterate_fixed_point(law, start, 0, streams) is start
     r0 = init_pool(law, 20_000, streams, kind=KIND_R_PARTIAL)
     with pytest.raises(DomainError):
         iterate_fixed_point(law, r0, 2, streams)
@@ -236,11 +253,11 @@ def test_iterate_from_zero_matches_partial_sums():
     law = smooth_law()
     streams = StreamTree(404)
     size = 100_000
-    chain = iterate_fixed_point(law, constant_pool(law, size, 0.0), 4, streams)
+    step4 = iterate_fixed_point(law, constant_pool(law, size, 0.0), 4, streams)
     r = init_pool(law, size, streams, kind=KIND_R_PARTIAL)
     for _ in range(3):
         r = evolve_pool_r(law, r, streams)
-    d = ks_distance(chain[4].values, r.values)
+    d = ks_distance(step4.values, r.values)
     assert d < ks_critical_value(size, size, level=0.01)
 
 
@@ -248,10 +265,11 @@ def test_iterated_chains_from_far_inits_contract():
     law = smooth_law()
     streams = StreamTree(8)
     size = 50_000
-    lo = iterate_fixed_point(law, constant_pool(law, size, 0.0), 12, streams)
-    hi = iterate_fixed_point(law, constant_pool(law, size, 100.0), 12, streams)
+    lo2 = iterate_fixed_point(law, constant_pool(law, size, 0.0), 2, streams)
+    hi2 = iterate_fixed_point(law, constant_pool(law, size, 100.0), 2, streams)
     # the initial gap of 100 shrinks like rho^k = 2^-k
-    d2 = ks_distance(lo[2].values, hi[2].values)
-    d12 = ks_distance(lo[12].values, hi[12].values)
+    d2 = ks_distance(lo2.values, hi2.values)
+    d12 = ks_distance(iterate_fixed_point(law, lo2, 10, streams).values,
+                      iterate_fixed_point(law, hi2, 10, streams).values)
     assert d12 < d2
     assert d12 < 0.05
