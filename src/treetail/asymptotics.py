@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .branching import (
+    _INDEX_TOL,
     BranchingLaw,
     InverseN,
     RegimeReport,
@@ -134,7 +135,7 @@ def jessen_mikosch_zn_constant(law: BranchingLaw, alpha: float) -> float:
     if isinstance(law, InverseN):
         raise ModelMismatch("weights depend on N; the i.i.d.-weights constant does not apply")
     n_idx = law.n_dist.tail_index()
-    if n_idx is None or abs(n_idx - alpha) > 1e-9:
+    if n_idx is None or abs(n_idx - alpha) > _INDEX_TOL:
         raise DomainError("child count must be regularly varying with index alpha")
     rho_above = law.rho_beta(alpha + 1e-9)
     if rho_above is None or math.isinf(rho_above):
@@ -205,18 +206,6 @@ class TheoryConstants:
     h_n_table: dict[int, float]
     h_limit: float
     eta: float  # admissible geometric decay bound (1 + max(rho, rho_alpha)) / 2
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "rho_alpha": self.rho_alpha,
-            "e_q": self.e_q,
-            "regime": self.regime,
-            "h_n_table": {str(k): v for k, v in self.h_n_table.items()},
-            "h_limit": self.h_limit,
-            "eta": self.eta,
-        }
 
 
 def compute_constants(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from . import simulate as simkernel, tailstats
+from . import records, simulate as simkernel, tailstats
 from .errors import DomainError, TreetailError
 from .harness import load_config, run_scenario, scenario_constants, write_report
 from .pools import KIND_R_PARTIAL, KIND_W, export_csv, load_pool, save_pool
@@ -64,14 +64,16 @@ def _load(ctx, config_path):
 def constants(ctx, config_path):
     """Print the theoretical tail constants for a scenario config."""
     config = _load(ctx, config_path)
-    doc = scenario_constants(config).to_json()
+    doc = records.to_json(scenario_constants(config))
     if ctx.obj["fmt"] == "json":
         click.echo(json.dumps(doc, indent=2))
     else:
+        # one row per scalar in field order, then one per h_n
+        table = doc.pop("h_n_table")
         click.echo("name,value")
-        for key in ("alpha", "rho", "rho_alpha", "e_q", "regime", "h_limit", "eta"):
-            click.echo(f"{key},{doc[key]}")
-        for n, v in sorted(((int(k), v) for k, v in doc["h_n_table"].items())):
+        for key, value in doc.items():
+            click.echo(f"{key},{value}")
+        for n, v in table.items():
             click.echo(f"h_{n},{v}")
 
 

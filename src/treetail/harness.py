@@ -41,7 +41,7 @@ the tail ratio, the Hill curve and the Hill pin read only it. A tree
 scenario pins the Hill index on a sketch of the final R pool's top values.
 Both runners end in ``_report``, which pins the Hill index and builds the
 ``VerificationReport``; ``write_report`` writes it as JSON by one rule,
-``_to_json``.
+``records.to_json``.
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
@@ -53,14 +53,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import asymptotics, simulate, tailstats
+from . import asymptotics, records, simulate, tailstats
 from .branching import (
+    _INDEX_TOL,
     KESTEN_CRITICAL,
     Q_DOMINATES,
     ZN_DOMINATES,
@@ -111,7 +112,6 @@ KS_TOLERANCE = 0.01
 KS_START = 100.0
 HILL_K = 1000
 HILL_RTOL = 0.1
-_INDEX_TOL = 1e-9
 
 _ALLOWED_REGIMES = {
     DOMINANT_ZN: (ZN_DOMINATES,),
@@ -190,32 +190,21 @@ class ScenarioConfig:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {doc['schema_version']!r}")
         grid = doc["quantile_grid"]
-        if not isinstance(grid, list) or not all(map(_is_number, grid)):
+        if not isinstance(grid, list):
             raise ConfigError("quantile_grid must be a list of numbers")
         x_doc = doc.get("x_dist")
         return cls(
             name=doc["name"],
             law=law_from_json(doc["law"]),
-            alpha=_number(doc, "alpha"),
+            alpha=records.number(doc["alpha"], "alpha"),
             dominant=doc["dominant"],
             pool_size=_integer(doc, "pool_size"),
             depth=_integer(doc, "depth"),
             bootstrap_b=_integer(doc, "bootstrap_B"),
-            quantile_grid=tuple(float(p) for p in grid),
+            quantile_grid=tuple(records.number(p, "quantile_grid entry") for p in grid),
             seed=_integer(doc, "seed"),
             x_dist=dist_from_json(x_doc) if x_doc is not None else None,
         )
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _number(doc, key) -> float:
-    v = doc[key]
-    if not _is_number(v):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    return float(v)
 
 
 def _integer(doc, key) -> int:
@@ -227,7 +216,9 @@ def _integer(doc, key) -> int:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_json(doc)
@@ -302,32 +293,7 @@ class VerificationReport:
         return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        return {**_fields_json(self), "passed": self.passed}
-
-
-def _to_json(value):
-    """The one rule that writes report records as JSON documents.
-
-    An object with its own ``to_json_dict`` or ``to_json`` writes itself. A
-    dataclass is written field by field in declaration order, a NamedTuple
-    through ``_asdict``; dict keys become strings and tuples become lists.
-    """
-    for method in ("to_json_dict", "to_json"):
-        if hasattr(value, method):
-            return getattr(value, method)()
-    if is_dataclass(value):
-        return _fields_json(value)
-    if hasattr(value, "_asdict"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {str(k): _to_json(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_to_json(v) for v in value]
-    return value
-
-
-def _fields_json(record) -> dict:
-    return {f.name: _to_json(getattr(record, f.name)) for f in fields(record)}
+        return {**records.fields_json(self), "passed": self.passed}
 
 
 def write_report(report: VerificationReport, outdir) -> Path:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PoolFormatError
+from .errors import DomainError, PoolFormatError
 
 __all__ = ["SamplePool", "KIND_W", "KIND_R_PARTIAL", "KIND_R_STAR", "save_pool", "load_pool", "export_csv"]
 
@@ -51,13 +51,13 @@ class SamplePool:
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("pool values must be a non-empty 1-d array")
+            raise DomainError("pool values must be a non-empty 1-d array")
         if not np.all(np.isfinite(values)):
-            raise ValueError("pool values must all be finite")
+            raise DomainError("pool values must all be finite")
         if self.kind not in _KINDS:
-            raise ValueError(f"pool kind must be one of {_KINDS}, got {self.kind!r}")
+            raise DomainError(f"pool kind must be one of {_KINDS}, got {self.kind!r}")
         if self.generation < 0:
-            raise ValueError("generation must be >= 0")
+            raise DomainError("generation must be >= 0")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "seed_lineage", tuple(self.seed_lineage))

@@ -33,6 +33,7 @@ against the horizon pool R^(k-1), which has the same law.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -290,3 +291,9 @@ def test_report_bytes_are_pinned(name, request, tmp_path):
     out = write_report(report, tmp_path / name)
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in REPORT_SHA256[name]}
     assert digests == REPORT_SHA256[name]
+    # no NaN or Infinity is ever written: infinite values carry the "inf" marker
+    json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"report.json holds the non-JSON constant {name}")

@@ -24,7 +24,7 @@ from treetail import (
     sum_constant_q,
     sum_constant_zn,
 )
-from treetail import InverseN
+from treetail import InverseN, records
 from treetail.branching import Q_DOMINATES, ZN_DOMINATES
 from treetail.errors import DomainError, ModelMismatch
 
@@ -167,7 +167,7 @@ def test_compute_constants_zn():
     assert tc.eta == pytest.approx(0.7, abs=1e-12)
     assert set(tc.h_n_table) == set(range(13))
     assert tc.h_n_table[0] == 0.0
-    doc = tc.to_json()
+    doc = records.to_json(tc)
     assert doc["h_n_table"]["12"] == tc.h_n_table[12]
     assert doc["regime"] == ZN_DOMINATES
 

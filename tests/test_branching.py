@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+import treetail
 from treetail import (
     Constant,
     DeterministicWeight,
@@ -27,9 +29,13 @@ from treetail.branching import (
     SUBCRITICAL_LIGHT,
     INVALID,
     ZN_DOMINATES,
+    _MODELS,
     rho_beta_mc,
 )
 from treetail.errors import ConfigError, DomainError, ModelMismatch
+from treetail import records
+
+from test_distributions import example_of
 
 RNG = lambda seed=42: np.random.default_rng(seed)
 
@@ -218,7 +224,7 @@ def test_regime_index_mismatch_is_invalid():
 def test_regime_report_json_uses_inf_marker():
     law = IndependentIID(Exponential(1.0), ZetaTail(0.5), Uniform(0.0, 0.5))
     report = validate_regime(law, 2.0)
-    doc = report.to_json()
+    doc = records.to_json(report)
     json.dumps(doc)
     assert doc["rho"] == "inf"
 
@@ -239,23 +245,28 @@ def test_fingerprint_is_stable():
     assert law.fingerprint() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def test_a_law_is_fingerprinted_once():
+    # every evolve step checks its pool's fingerprint; the JSON is written once
+    law = zn_baseline_law(0.2)
+    with mock.patch.object(records, "fields_json", wraps=records.fields_json) as spy:
+        assert law.fingerprint() == law.fingerprint() == "12fcb418a2c3d057"
+    assert spy.call_count == 3  # the law and its two nested laws
+
+
 def test_fingerprint_separates_laws():
     assert zn_baseline_law(0.2).fingerprint() != zn_baseline_law(0.21).fingerprint()
     assert zn_baseline_law(0.2).fingerprint() != q_baseline_law().fingerprint()
 
 
-@pytest.mark.parametrize("law", [
-    zn_baseline_law(),
-    q_baseline_law(),
-    PageRankLike(0.5, Constant(2.0), ZetaTail(2.0)),
-    InverseN(Uniform(0.0, 2.0), ZetaTail(2.0), 0.5, 1.0),
-])
+@pytest.mark.parametrize("law", [example_of(cls) for cls in _MODELS.values()])
 def test_law_json_roundtrip(law):
     doc = law.to_json()
     json.dumps(doc)
     back = law_from_json(doc)
     assert back == law
     assert back.fingerprint() == law.fingerprint()
+    # the dataclass repr reads back as the same law
+    assert eval(repr(law), vars(treetail)) == law
 
 
 def test_law_from_json_rejects_malformed_documents():
@@ -272,3 +283,17 @@ def test_law_from_json_rejects_malformed_documents():
         law_from_json({"model": good["model"], "params": bad_params})
     with pytest.raises(ConfigError):
         law_from_json("deterministic_weight")
+    # every number is a finite JSON number, in the law and in its nested laws
+    for bad in ("0.25", True, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite number"):
+            law_from_json({"model": good["model"], "params": {**good["params"], "c": bad}})
+        shifted = {"kind": "shifted", "params": {"inner": good["params"]["q_dist"], "offset": bad}}
+        with pytest.raises(ConfigError, match="finite number"):
+            law_from_json({"model": good["model"], "params": {**good["params"], "q_dist": shifted}})
+    pareto = {"kind": "pareto", "params": {"alpha": "2.5", "x_min": True}}
+    with pytest.raises(ConfigError, match="finite number"):
+        law_from_json({"model": good["model"], "params": {**good["params"], "q_dist": pareto}})
+    for text in ("NaN", "Infinity"):
+        doc = json.loads(json.dumps(good).replace(str(good["params"]["c"]), text))
+        with pytest.raises(ConfigError, match="finite number"):
+            law_from_json(doc)

@@ -123,6 +123,16 @@ def test_constants_rejects_malformed_config(runner, tmp_path):
     assert "error:" in result.stderr
 
 
+def test_constants_refuses_a_config_that_is_not_utf8(runner, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9 \xff"}')
+    result = runner.invoke(cli, ["constants", str(bad)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+    assert "error:" in result.stderr
+    assert "UTF-8" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -367,6 +377,34 @@ def test_threads_below_one_are_refused(runner, config_path, tmp_path, command, t
     assert "No such option '--threads'" in result.stderr
     assert not (tmp_path / "x.pool").exists()
     assert not (tmp_path / "r").exists()
+
+
+def test_simulate_refuses_a_non_finite_law_parameter_before_any_draw(runner, tmp_path):
+    law = json.loads(json.dumps(ZN_LAW_DOC))
+    law["params"]["q_dist"]["params"]["value"] = "inf"
+    config = write_config(tmp_path / "inf.json", law=law)
+    with mock.patch.object(simulate, "_run_blocks", side_effect=AssertionError("drawn")):
+        result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "finite number" in result.stderr
+    assert not (tmp_path / "x.pool").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_simulate_reports_draws_that_overflow_as_an_error(runner, tmp_path):
+    # finite parameters, but Q ~ Pareto(0.01, 1) overflows to inf on about
+    # one draw in 1200, so a pool of 70 000 holds some
+    law = json.loads(json.dumps(ZN_LAW_DOC))
+    law["params"]["q_dist"] = {"kind": "pareto", "params": {"alpha": 0.01, "x_min": 1.0}}
+    config = write_config(tmp_path / "overflow.json", law=law, pool_size=70_000)
+    result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "finite" in result.stderr
+    assert not (tmp_path / "x.pool").exists()
 
 
 @pytest.mark.parametrize("kind", ["r", "rstar", "w"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+import treetail
 from treetail import (
     Constant,
     Exponential,
@@ -20,6 +22,7 @@ from treetail import (
     ZetaTail,
     dist_from_json,
 )
+from treetail.distributions import _KINDS
 from treetail.errors import ConfigError, DomainError
 
 RNG = lambda: np.random.default_rng(1234)
@@ -161,6 +164,26 @@ def test_shifted_moments():
     assert heavy.moment(2) == math.inf
     assert heavy.tail_index() == 2.0
     assert heavy.tail_scale() == 1.0
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_MEANS = {
+    # each law with its closed-form mean, which moment(1.0) must give bit for bit
+    "constant": (st.builds(Constant, st.floats(-1e6, 1e6)), lambda d: float(d.value)),
+    "uniform": (st.tuples(st.floats(-1e6, 1e6), _positive).map(lambda t: Uniform(t[0], t[0] + t[1])),
+                lambda d: (d.low + d.high) / 2.0),
+    "pareto": (st.builds(Pareto, st.floats(0.05, 50.0), _positive),
+               lambda d: math.inf if d.alpha <= 1 else d.alpha * d.x_min / (d.alpha - 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MEANS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mean_is_the_first_moment(kind, data):
+    laws, closed_form = _MEANS[kind]
+    dist = data.draw(laws)
+    assert dist.mean() == dist.moment(1.0) == closed_form(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +368,26 @@ def test_domain_validation():
 # serialization
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dist", [
-    Constant(1.0),
-    Uniform(0.0, 0.6),
-    Exponential(2.0),
-    Pareto(2.5, 1.0),
-    ZetaTail(2.0),
-    LogNormal(-0.1, 0.9),
-    Shifted(Pareto(2.0, 1.0), -0.25),
-])
+def example_of(cls):
+    """An instance of a law or distribution class, built from its fields alone.
+
+    Every law-valued field is ZetaTail(2.0), and the numeric fields take
+    0.25, 0.5, 0.75, ... in declaration order.
+    """
+    numbers = iter((0.25, 0.5, 0.75, 1.0))
+    return cls(**{f.name: ZetaTail(2.0) if f.type == "Distribution" else next(numbers)
+                  for f in dataclasses.fields(cls)})
+
+
+@pytest.mark.parametrize("dist", [example_of(cls) for cls in _KINDS.values()])
 def test_json_roundtrip(dist):
     doc = dist.to_json()
     json.dumps(doc)  # must be serializable as-is
     back = dist_from_json(doc)
     assert back == dist
     assert back.to_json() == doc
+    # the dataclass repr reads back as the same law
+    assert eval(repr(dist), vars(treetail)) == dist
 
 
 def test_from_json_rejects_malformed_documents():
@@ -375,6 +403,18 @@ def test_from_json_rejects_malformed_documents():
         dist_from_json(["pareto"])
     with pytest.raises(ConfigError):
         dist_from_json({"kind": [], "params": {}})
+    with pytest.raises(ConfigError):
+        dist_from_json({"kind": "constant", "params": [1.0]})
     # domain violations surface as DomainError, not ConfigError
     with pytest.raises(DomainError):
         dist_from_json({"kind": "exponential", "params": {"rate": -1.0}})
+    # a parameter must be a finite JSON number, at any depth
+    inner = Pareto(2.0, 1.0).to_json()
+    for bad in ("2.5", True, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite number"):
+            dist_from_json({"kind": "pareto", "params": {"alpha": bad, "x_min": 1.0}})
+        with pytest.raises(ConfigError, match="finite number"):
+            dist_from_json({"kind": "shifted", "params": {"inner": inner, "offset": bad}})
+    for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+        with pytest.raises(ConfigError, match="finite number"):
+            dist_from_json(json.loads(f'{{"kind": "constant", "params": {{"value": {text}}}}}'))

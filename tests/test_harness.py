@@ -22,7 +22,7 @@ from treetail import (
     run_scenario,
     write_report,
 )
-from treetail import dist_from_json, harness, law_from_json, simulate, tailstats
+from treetail import dist_from_json, harness, law_from_json, records, simulate, tailstats
 from treetail.harness import (
     DECAY_GENERATIONS,
     KS_START,
@@ -317,7 +317,7 @@ def test_the_json_rule():
         "own": {"z": 1, "a": [2]},
     }
     # json.dumps keeps key order, so the text compares it too
-    assert json.dumps(harness._to_json(record)) == json.dumps(expected)
+    assert json.dumps(records.to_json(record)) == json.dumps(expected)
 
 
 def test_report_is_deterministic(tiny_report):
