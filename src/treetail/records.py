@@ -9,6 +9,7 @@ fields, and ``number`` is the rule every numeric parameter is read by.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
 from .errors import ConfigError
@@ -52,13 +53,9 @@ def number(value, name: str) -> float:
     A bool, a string, NaN and +-inf are refused, so a parameter never
     reaches a law's sampler as something ``float()`` happened to accept.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer past the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
+    # NaN fails the comparison, and so does an integer past the float range
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
