@@ -93,7 +93,8 @@ def simulate(ctx, config_path, out, kind, depth, csv_path):
     depth = config.depth if depth is None else depth
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    # a step holds the last pool, the new pool's blocks and their concatenation
+    # a step holds the last pool, the new pool and one block's temporaries
+    # (under 1.4 pool sizes beyond the last at 2^20); 3 is a conservative guard
     simkernel.check_memory(3 * 8 * config.pool_size, f"simulate with pool_size {config.pool_size}")
     streams = StreamTree(config.seed)
     if kind == "rstar":

@@ -46,7 +46,8 @@ Both runners end in ``_report``, which pins the Hill index and builds the
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
 own derived stream: ``simulate._blocks`` yields each block's stream and
-length, and ``simulate._run_blocks`` draws them into one array.
+length, and ``simulate._run_blocks`` writes each block straight into its
+slice of one array allocated up front.
 """
 
 from __future__ import annotations
@@ -348,10 +349,11 @@ def scenario_constants(config: ScenarioConfig,
 def _check_pool_memory(config: ScenarioConfig) -> None:
     """Refuse a pool size whose float64 arrays cannot fit in physical memory at once.
 
-    A tree scenario's R loop holds about eight pools: R^(n-1), the two
-    chains, the pool being evolved (its blocks, then their concatenation), a
-    sorted copy of each KS sample and Z_N's sketch. A sum scenario holds its
-    sketch buffer, at least twice the top the Hill curve reads, and a block.
+    A tree scenario's R loop holds R^(n-1), the two chains, the pool being
+    evolved and one block's temporaries, a sorted copy of each KS sample and
+    Z_N's sketch: 6.7 pool sizes traced on zn-baseline at 2^18 samples, so
+    eight is a conservative guard. A sum scenario holds its sketch buffer,
+    at least twice the top the Hill curve reads, and a block.
     """
     size = config.pool_size
     values = (2 * tailstats.hill_curve_keep(size) + BLOCK if config.dominant == DOMINANT_SUM
@@ -443,6 +445,12 @@ def _report(config, regime, constants, sketch, tail, target, mean_checks, verdic
     )
 
 
+def _draw_zn(law: BranchingLaw, size: int, streams: StreamTree) -> np.ndarray:
+    """``size`` draws of Z_N, in the fixed blocks of its own stream."""
+    return simulate._run_blocks(lambda rng, out: np.copyto(out, sample_zn_many(law, out.size, rng)),
+                                streams, TAG_ZN, 0, size)
+
+
 def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport:
     law, size = config.law, config.pool_size
     zn_dominant = config.dominant == DOMINANT_ZN
@@ -451,7 +459,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
     # it under Q dominance moves no other value
     zn = None
     if zn_dominant:
-        zn = simulate._run_blocks(lambda rng, m: sample_zn_many(law, m, rng), streams, TAG_ZN, 0, size)
+        zn = _draw_zn(law, size, streams)
         # every ZN-side ratio reads Z_N above its quantile at its largest grid
         # probability, so one sketch kept down to the largest of both grids
         # serves them all, and the full array is freed before the W pools

@@ -11,7 +11,10 @@ Two routes to the same laws:
 Pool evolution is deterministic for a fixed seed: the fixed blocks of
 ``streams.BLOCK`` output indices are drawn in turn, each on the stream of its
 (purpose, generation, block), so no block depends on another or on the size.
-``_blocks`` is the one place that forms that key.
+``_blocks`` is the one place that forms that key. ``_run_blocks`` allocates
+a pool once and has each block written straight into its slice, so a
+generation holds its input pool, its output pool and one block's
+temporaries.
 """
 
 from __future__ import annotations
@@ -107,9 +110,11 @@ def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
     m = int(size)
     q, n, weights = law.draw_roots(m, rng)
     x = x_dist.sample_many(rng, int(n.sum()))
-    # in place, and weights freed before the repeat index is made, unlike
-    # _evolve: its form took a 2M-sum sum-appendix run's traced peak from
-    # 7.26 to 9.03 MB, past the 8 MB the harness tests allow
+    # in place, and weights freed before the repeat index is made, as in
+    # _evolve's fill, which cut verify-q's peak RSS from 92.8 to 81.8 MB in
+    # 10 perfbench pairs (BENCH_21.json); the out-of-place form took a
+    # 2M-sum sum-appendix run's traced peak from 7.26 to 9.03 MB, past the
+    # 8 MB the harness tests allow
     x *= weights
     del weights
     totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
@@ -139,9 +144,24 @@ def _blocks(streams: StreamTree, tag: int, gen: int, size: int):
         yield streams.child(tag, gen, block), min(BLOCK, size - lo)
 
 
-def _run_blocks(draw, streams: StreamTree, tag: int, gen: int, size: int) -> np.ndarray:
-    """The one block scheduler: ``draw(rng, m)`` on each of ``_blocks``, in turn, concatenated."""
-    return np.concatenate([draw(rng, m) for rng, m in _blocks(streams, tag, gen, size)])
+def _run_blocks(fill, streams: StreamTree, tag: int, gen: int, size: int) -> np.ndarray:
+    """The one block scheduler: ``fill(rng, out)`` on each of ``_blocks``, in turn, into one array.
+
+    ``out`` is the block's slice of the array, which ``fill`` overwrites.
+    Raises ``DomainError`` at the first block that holds a non-finite value,
+    so no later block's stream is created.
+    """
+    values = np.empty(size)
+    lo = 0
+    for rng, m in _blocks(streams, tag, gen, size):
+        out = values[lo:lo + m]
+        # a draw that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(rng, out)
+        if not np.isfinite(out).all():
+            raise DomainError("pool values must all be finite")
+        lo += m
+    return values
 
 
 def init_pool(
@@ -156,7 +176,8 @@ def init_pool(
     if size <= 0:
         raise DomainError("pool size must be positive")
 
-    values = _run_blocks(lambda rng, m: law.sample_q_many(m, rng), streams, TAG_POOL_INIT, 0, int(size))
+    values = _run_blocks(lambda rng, out: np.copyto(out, law.sample_q_many(out.size, rng)),
+                         streams, TAG_POOL_INIT, 0, int(size))
     return SamplePool(
         values=values,
         kind=kind,
@@ -187,19 +208,29 @@ def _evolve(law, pool, streams, add_q, out_kind):
     prev = pool.values
     gen = pool.generation + 1
 
-    def draw(rng, m):
+    def fill(rng, out):
+        m = out.size
         q, n, weights = law.draw_roots(m, rng)
-        total = int(n.sum())
-        picks = rng.integers(0, prev.size, size=total)
+        picks = rng.integers(0, prev.size, size=int(n.sum()))
+        # in place, each temporary dropped once spent. IEEE + and * commute,
+        # so every value keeps the bits of bincount(idx, weights * prev[picks]) + q.
+        # Against the out-of-place form over 10 alternating perfbench pairs
+        # on a 2-vCPU box, verify-q's peak RSS fell from 92.8 to 81.8 MB and
+        # its wall time read 5.83 against 6.25 s (BENCH_21.json)
+        if add_q:
+            out[:] = q
+        del q
+        weights *= prev[picks]
+        del picks
         idx = np.repeat(np.arange(m), n)
-        # out of place, unlike sample_weighted_sum's product: multiplying into
-        # prev[picks] in place slowed verify-q in 3 of 3 perfbench pairs on a
-        # 2-vCPU box (median 7.04 against 5.45 s) and raised its peak RSS
-        # from 92.8 to 95.1 MB
-        sums = np.bincount(idx, weights=weights * prev[picks], minlength=m)
-        return sums + q if add_q else sums
+        del n
+        sums = np.bincount(idx, weights=weights, minlength=m)
+        if add_q:
+            out += sums
+        else:
+            out[:] = sums
 
-    values = _run_blocks(draw, streams, _KIND_TAGS[out_kind], gen, prev.size)
+    values = _run_blocks(fill, streams, _KIND_TAGS[out_kind], gen, prev.size)
     return SamplePool(
         values=values,
         kind=out_kind,

@@ -27,6 +27,29 @@ def physical_memory():
     return patch
 
 
+def _run_blocks_concatenated(draw, streams, tag, gen, size):
+    """The concatenating block scheduler: ``draw(rng, m)`` on each block, in turn, concatenated."""
+    return np.concatenate([draw(rng, m) for rng, m in simulate._blocks(streams, tag, gen, size)])
+
+
+def _evolve_block(law, prev, add_q):
+    """The out-of-place evolve block function: one block of the generation after ``prev``."""
+    def draw(rng, m):
+        q, n, weights = law.draw_roots(m, rng)
+        total = int(n.sum())
+        picks = rng.integers(0, prev.size, size=total)
+        idx = np.repeat(np.arange(m), n)
+        sums = np.bincount(idx, weights=weights * prev[picks], minlength=m)
+        return sums + q if add_q else sums
+    return draw
+
+
+@pytest.fixture(scope="session")
+def block_reference():
+    """The (scheduler, evolve block) that pools drawn in place must match bit for bit."""
+    return _run_blocks_concatenated, _evolve_block
+
+
 @pytest.fixture(scope="session")
 def ks_reference():
     """The concatenate-and-searchsorted KS that ``ks_distance`` must match exactly."""

@@ -25,7 +25,7 @@ from treetail.pools import (
     load_pool,
     save_pool,
 )
-from treetail.streams import StreamTree
+from treetail.streams import TAG_POOL_INIT, StreamTree
 
 from test_acceptance import PINNED_NUMPY
 
@@ -165,9 +165,10 @@ def test_simulate_rstar_is_the_last_iterate(runner, config_path, tmp_path):
 
 
 def test_simulate_rstar_holds_one_iterate_at_a_time(runner, tmp_path):
-    # a step holds the last iterate and the new one's blocks and their
-    # concatenation: 4.57 pool sizes traced at 2^18 samples, and 5.57 when
-    # the all-zero start is kept alive through the iteration
+    # a step holds the last iterate, the new one and one block's
+    # temporaries: 3.87 pool sizes traced at 2^18 samples; while each
+    # iterate's blocks were concatenated, 4.57, and 5.57 when the all-zero
+    # start was kept alive through the iteration
     size = 1 << 18
     config = write_config(tmp_path / "big.json", pool_size=size, depth=4)
     tracemalloc.start()
@@ -392,14 +393,17 @@ def test_simulate_refuses_a_non_finite_law_parameter_before_any_draw(runner, tmp
     assert not (tmp_path / "x.pool").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_simulate_reports_draws_that_overflow_as_an_error(runner, tmp_path):
     # finite parameters, but Q ~ Pareto(0.01, 1) overflows to inf on about
-    # one draw in 1200, so a pool of 70 000 holds some
+    # one draw in 1200, so the first of the pool's two blocks holds some and
+    # the second is never drawn
     law = json.loads(json.dumps(ZN_LAW_DOC))
     law["params"]["q_dist"] = {"kind": "pareto", "params": {"alpha": 0.01, "x_min": 1.0}}
     config = write_config(tmp_path / "overflow.json", law=law, pool_size=70_000)
-    result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool")])
+    with mock.patch.object(StreamTree, "child", autospec=True, side_effect=StreamTree.child) as child:
+        result = runner.invoke(cli, ["simulate", config, "--out", str(tmp_path / "x.pool")])
+    assert [c.args[1:] for c in child.call_args_list] == [(TAG_POOL_INIT, 0, 0)]
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.stderr

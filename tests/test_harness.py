@@ -403,13 +403,13 @@ def _traced_peak(config) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, pools", [("zn", 7.6), ("q", 6.75)])
+@pytest.mark.parametrize("name, pools", [("zn", 6.95), ("q", 6.55)])
 def test_tree_scenario_peak_live_memory(name, pools):
     # every stage at 2^18 samples, with the coupled chains to depth 15.
     # Traced bytes, unlike RSS, do not depend on how the allocator reuses
-    # pages. In pool sizes: zn 7.34 (8.37 while each ratio sketched Z_N and
-    # every KS chunk was merged; the peak is now in the chains' evolve), q
-    # 6.51 (6.54)
+    # pages. In pool sizes: zn 6.69 (7.29 while each pool's blocks were
+    # concatenated, 8.37 while each ratio sketched Z_N and every KS chunk
+    # was merged), q 6.31 (6.51)
     config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"),
                      pool_size=1 << 18, depth=KS_STEPS)
     assert _traced_peak(config) < pools * 8 * config.pool_size
