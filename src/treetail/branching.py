@@ -391,7 +391,8 @@ def sample_zn_many(law: BranchingLaw, size: int, rng: np.random.Generator) -> np
     """Vectorized draws of Z_N under the law."""
     _, n, weights = law.draw_roots(size, rng)
     idx = np.repeat(np.arange(size), n)
-    return np.bincount(idx, weights=weights, minlength=size)
+    # float64 even when no node has a child: bincount of empty weights is int64
+    return np.bincount(idx, weights=weights, minlength=size).astype(float, copy=False)
 
 
 def rho_beta_mc(law: BranchingLaw, beta: float, draws: int, rng: np.random.Generator):

@@ -350,9 +350,10 @@ def _check_pool_memory(config: ScenarioConfig) -> None:
     """Refuse a pool size whose float64 arrays cannot fit in physical memory at once.
 
     A tree scenario's R loop holds R^(n-1), the two chains, the pool being
-    evolved and one block's temporaries, a sorted copy of each KS sample and
-    Z_N's sketch: 6.7 pool sizes traced on zn-baseline at 2^18 samples, so
-    eight is a conservative guard. A sum scenario holds its sketch buffer,
+    evolved and one block's temporaries, chain 0 sorted and a sorted copy
+    of the sample it is compared with, and Z_N's sketch: 6.7 pool sizes
+    traced on zn-baseline at 2^18 samples, so eight is a conservative
+    guard. A sum scenario holds its sketch buffer,
     at least twice the top the Hill curve reads, and a block.
     """
     size = config.pool_size
@@ -503,9 +504,12 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
         if chain0 is not None:
             chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)
             chain_hi = simulate.iterate_fixed_point(law, chain_hi, 1, streams)
-            ks_series[n] = tailstats.ks_distance(chain0.values, chain_hi.values)
+            # chain 0 is sorted once for both distances, and freed before the gap
+            sorted0 = np.sort(chain0.values)
+            ks_series[n] = tailstats.ks_distance(sorted0, chain_hi.values)
             # r_pool is R^(n-1) here: step 1 of the chain from 0 is Q = R^(0)
-            ks_cross[n] = tailstats.ks_distance(chain0.values, r_pool.values)
+            ks_cross[n] = tailstats.ks_distance(sorted0, r_pool.values)
+            del sorted0
             coupled_gap.append(_gap_check(n, chain_hi.values - chain0.values, var_gap, regime.rho))
             var_gap = coupled_gap[-1].stderr ** 2
             if n == KS_STEPS:

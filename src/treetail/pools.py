@@ -21,9 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, PoolFormatError
+from .errors import BudgetExceeded, DomainError, PoolFormatError
 
-__all__ = ["SamplePool", "KIND_W", "KIND_R_PARTIAL", "KIND_R_STAR", "save_pool", "load_pool", "export_csv"]
+__all__ = [
+    "SamplePool", "KIND_W", "KIND_R_PARTIAL", "KIND_R_STAR",
+    "check_memory", "save_pool", "load_pool", "export_csv",
+]
 
 KIND_W = "W"
 KIND_R_PARTIAL = "R_PARTIAL"
@@ -36,6 +39,14 @@ _HEADER = struct.Struct("<8sII")
 
 # Below this size, tail statistics on a pool are statistically meaningless.
 MIN_STATISTICAL_SIZE = 10_000
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ``BudgetExceeded``, before anything is allocated, if ``nbytes`` exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise BudgetExceeded(f"{what} would hold {nbytes / 2**30:.3g} GiB at once, "
+                             f"more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,9 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
         with fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, len(blob)))
             fh.write(blob)
-            fh.write(pool.values.astype("<f8").tobytes())
+            # on a little-endian host this is the values themselves, so they
+            # are written from their own buffer, with no copy
+            fh.write(pool.values.astype("<f8", copy=False).data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -109,7 +122,8 @@ def load_pool(path: str | Path) -> SamplePool:
     """Read a pool file; any malformed header, metadata or payload raises PoolFormatError.
 
     The metadata ``count`` is checked against the payload's size on disk
-    before anything is allocated for the values, which are then read
+    before anything is allocated for the values, and a payload larger than
+    physical memory raises ``BudgetExceeded``. The values are then read
     straight into one fresh float64 array: the payload is held once, as
     the pool's read-only ``values``. A pipe's payload is read whole first,
     since only reading it tells its size, and the values are a view of it.
@@ -142,6 +156,7 @@ def load_pool(path: str | Path) -> SamplePool:
         if payload is not None:
             values = np.frombuffer(payload, dtype="<f8")
         else:
+            check_memory(payload_bytes, f"{path}: {count} pool values")
             values = np.empty(count, dtype="<f8")
             if fh.readinto(values) != payload_bytes:
                 raise PoolFormatError(f"{path}: value payload is truncated")

@@ -20,13 +20,12 @@ temporaries.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .branching import BranchingLaw
 from .errors import BudgetExceeded, DomainError, FingerprintMismatch
-from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool
+from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool, check_memory
 from .streams import BLOCK, StreamTree, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W
 
 __all__ = [
@@ -117,7 +116,8 @@ def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
     # 8 MB the harness tests allow
     x *= weights
     del weights
-    totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m)
+    # float64 even when no node has a child: bincount of empty weights is int64
+    totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m).astype(float, copy=False)
     totals += q
     return totals
 
@@ -125,14 +125,6 @@ def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # population dynamics
 # ---------------------------------------------------------------------------
-
-def check_memory(nbytes: int, what: str) -> None:
-    """Raise ``BudgetExceeded``, before anything is allocated, if ``nbytes`` exceed physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise BudgetExceeded(f"{what} would hold {nbytes / 2**30:.3g} GiB at once, "
-                             f"more than the {memory / 2**30:.3g} GiB of physical memory")
-
 
 def _blocks(streams: StreamTree, tag: int, gen: int, size: int):
     """The fixed blocks of ``size`` draws, in order, one at a time: (stream, length).

@@ -633,18 +633,34 @@ def tail_ratio_analytic(
 _KS_CHUNK = 1 << 9
 # the most values of each sample that one merge of adjacent chunks reads
 _KS_MERGE = 1 << 15
+# the block length of ``_sorted``'s ascending-order check
+_SORTED_CHECK = 1 << 16
+
+
+def _sorted(x: np.ndarray) -> np.ndarray:
+    """``x`` itself if it is in ascending order, else a sorted copy.
+
+    The order is checked block by block, so no full-size mask is made, and
+    the first block out of order stops the check. A NaN fails it, so a
+    sample holding one is sorted, NaNs last.
+    """
+    for lo in range(0, x.size - 1, _SORTED_CHECK):
+        hi = min(lo + _SORTED_CHECK, x.size - 1)
+        if not np.all(x[lo:hi] <= x[lo + 1:hi + 1]):
+            return np.sort(x)
+    return x
 
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance by a pruned, chunked merge of sorted samples.
 
-    Both samples are sorted. Every ``_KS_CHUNK``-th (2^9-th) value of each,
-    and the largest of each, is a cut, and the cuts split the merge into
-    chunks [t_k, t_k+1). At each cut, ``searchsorted`` gives the counts of
-    values <= t_k (``end``) and < t_k (``start``), so a run of equal values
-    that holds a cut costs one entry however long it is, and any run of
-    ``_KS_CHUNK`` or more values holds one. The distance at the cuts starts
-    the running maximum d.
+    Each sample is sorted, unless it is in ascending order already. Every
+    ``_KS_CHUNK``-th (2^9-th) value of each, and the largest of each, is a
+    cut, and the cuts split the merge into chunks [t_k, t_k+1). At each
+    cut, ``searchsorted`` gives the counts of values <= t_k (``end``) and
+    < t_k (``start``), so a run of equal values that holds a cut costs one
+    entry however long it is, and any run of ``_KS_CHUNK`` or more values
+    holds one. The distance at the cuts starts the running maximum d.
 
     Inside chunk k the counts of each sample lie between its ``end`` at t_k
     and its ``start`` at t_k+1, so |F_a - F_b| there is at most
@@ -664,13 +680,15 @@ def ks_distance(a, b) -> float:
     split a step. NaNs sort last, form the run of the last cut, and count
     as one value.
 
-    ``a`` and ``b`` are left unchanged. Beyond one sorted copy of each
-    sample, the memory used is O(n / 2^9 + 2^15): the cuts with their
-    bounds, about 0.3 MB for two samples of a million, and one merge, at
-    most about 3 MB.
+    ``a`` and ``b`` are left unchanged, and may be read-only. Beyond a
+    sorted copy of each sample that is not in ascending order already, the
+    memory used is O(n / 2^9 + 2^15): the cuts with their bounds, about
+    0.3 MB for two samples of a million, and one merge, at most about 3 MB.
+    So a caller that compares one sample with several others can sort it
+    once and pass the sorted copy.
     """
-    a = np.sort(_as_samples(a, "a"))
-    b = np.sort(_as_samples(b, "b"))
+    a = _sorted(_as_samples(a, "a"))
+    b = _sorted(_as_samples(b, "b"))
     n_a, n_b = a.size, b.size
     cuts = np.unique(np.concatenate([a[::_KS_CHUNK], a[-1:], b[::_KS_CHUNK], b[-1:]]))
     start_a, end_a = np.searchsorted(a, cuts, "left"), np.searchsorted(a, cuts, "right")

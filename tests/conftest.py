@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from treetail import simulate, tailstats
+from treetail import pools, simulate, tailstats
 from treetail.errors import DegenerateTail, DomainError, EmptyGrid
 
 
@@ -23,7 +23,7 @@ def physical_memory():
     """Patch os.sysconf so that the machine has ``nbytes`` of physical memory, in pages of one byte."""
     def patch(nbytes: int):
         sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
-        return mock.patch.object(simulate.os, "sysconf", side_effect=sysconf.__getitem__)
+        return mock.patch.object(pools.os, "sysconf", side_effect=sysconf.__getitem__)
     return patch
 
 

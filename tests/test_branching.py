@@ -132,6 +132,16 @@ def test_zn_of_deterministic_weight_sits_on_a_lattice():
     np.testing.assert_allclose(samples, 0.2 * n, rtol=1e-12)
 
 
+def test_zn_with_no_children_is_float64():
+    # N = ZetaTail(2) - 1 is 0 for most nodes; np.bincount of no weights gives int64 zeros
+    law = DeterministicWeight(Pareto(2.0, 1.0), Shifted(ZetaTail(2.0), -1.0), 0.3)
+    _, n, _ = law.draw_roots(1, RNG(0))
+    assert n.sum() == 0
+    samples = sample_zn_many(law, 1, RNG(0))
+    assert samples.dtype == np.float64
+    assert samples.tolist() == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # construction guards
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from treetail import (
     load_pool,
     save_pool,
 )
-from treetail.errors import PoolFormatError, TreetailError
+from treetail import pools
+from treetail.errors import BudgetExceeded, PoolFormatError, TreetailError
 from treetail.pools import _HEADER, _MAGIC, _VERSION
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
@@ -161,6 +163,26 @@ def test_load_checks_the_count_before_allocating_the_values(tmp_path, count):
     assert _peak_bytes(_try_load, path) < 2 ** 16
 
 
+def test_load_refuses_a_payload_past_physical_memory_before_allocating_it(tmp_path, physical_memory):
+    path = tmp_path / "pool.bin"
+    pool = make_pool()  # 32 values: a 256-byte payload
+    save_pool(pool, path)
+    with physical_memory(8 * 32 - 1), \
+            mock.patch.object(pools.np, "empty", side_effect=AssertionError("allocated")), \
+            pytest.raises(BudgetExceeded, match="physical memory"):
+        load_pool(path)
+    with physical_memory(8 * 32):
+        assert load_pool(path).values.tobytes() == pool.values.tobytes()
+
+
+def test_save_writes_the_values_without_copying_them(tmp_path):
+    pool = make_pool(np.random.default_rng(1).random(1 << 18))
+    # the values' own buffer is written; astype("<f8").tobytes() made two
+    # copies, 2.00 pool sizes
+    assert _peak_bytes(save_pool, pool, tmp_path / "pool.bin") < 0.25 * pool.values.nbytes
+    assert load_pool(tmp_path / "pool.bin").values.tobytes() == pool.values.tobytes()
+
+
 def _try_load(path):
     try:
         load_pool(path)
@@ -258,7 +280,7 @@ def test_save_replaces_an_existing_file(tmp_path):
 
 
 class _ValuesThatFailMidWrite:
-    def astype(self, dtype):
+    def astype(self, dtype, copy=True):
         raise OSError("disk full")
 
 

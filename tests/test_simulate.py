@@ -134,6 +134,17 @@ def test_weighted_sum_oracle():
     assert one[0] == 4.0
 
 
+def test_a_weighted_sum_with_no_children_is_float64():
+    # N = ZetaTail(2) - 1 is 0 for most nodes; the one node drawn here has
+    # no child, and np.bincount of no weights gives int64 zeros
+    law = DeterministicWeight(Pareto(2, 1), Shifted(ZetaTail(2), -1), 0.3)
+    q, n, _ = law.draw_roots(1, np.random.default_rng(0))
+    assert n.sum() == 0
+    out = sample_weighted_sum(law, Pareto(2, 1), np.random.default_rng(0), size=1)
+    assert out.dtype == np.float64
+    assert out.tobytes() == q.astype(np.float64).tobytes()
+
+
 def test_weighted_sum_mean():
     law = smooth_law()
     x = Pareto(2.0, 1.0)  # E[X] = 2
@@ -253,8 +264,7 @@ def test_pools_drawn_in_place_are_the_concatenated_blocks_bit_for_bit(model, siz
     law, streams = BIT_LAWS[model], StreamTree(11)
 
     def assert_bits(got, want):
-        # a block with no children concatenates bincount's int64 zeros,
-        # which a pool holds as float64
+        # a pool holds float64, whatever the reference's blocks hold
         assert got.dtype == np.float64
         assert got.tobytes() == want.astype(np.float64).tobytes()
 

@@ -177,6 +177,16 @@ def test_ks_distance_peak_memory_on_heavy_ties():
     assert _peak_bytes(ks_distance, a, b) <= 16.5 * 2 ** 20
 
 
+def test_ks_distance_sorts_no_sample_already_in_order():
+    a = np.sort(RNG(15).random(1_000_000))
+    b = RNG(16).random(1_000_000)
+    ks_distance(a[:10], b[:10])  # the first call in a process imports numpy.ma, about 1.1 MiB
+    # one sorted copy, 7.6 MiB, and the cuts and one merge: 7.99 MiB in all,
+    # against 16.7 MiB when both samples are sorted
+    assert _peak_bytes(ks_distance, a, b) <= 9 * 2 ** 20
+    assert _peak_bytes(ks_distance, b, a) <= 9 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # two-sample KS
 # ---------------------------------------------------------------------------
@@ -300,6 +310,57 @@ def test_ks_distance_equals_the_reference_across_chunks(ks_reference):
     _assert_ks_is_exact(ks_reference, rounded, continuous)
     # a chain pool at its first step: one value a million times
     _assert_ks_is_exact(ks_reference, np.full(1_000_000, 1.0), rng.random(1_000_000) * 2.0)
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.one_of(_TIED, _ANY, _SPECIAL), min_size=1, max_size=80),
+    b=st.lists(st.one_of(_TIED, _SPECIAL), min_size=1, max_size=80),
+    check=st.sampled_from([1, 2, 3, tailstats._SORTED_CHECK]),
+)
+def test_ks_distance_reads_sorted_read_only_samples_exactly(ks_reference, a, b, check):
+    # each sample is passed sorted (NaNs last, which fails the order check)
+    # and as drawn, both read-only, at order-check blocks of 1 to 3 values
+    # and the module's; neither is written to
+    samples = [np.asarray(a, dtype=float), np.asarray(b, dtype=float)]
+    samples += [np.sort(x) for x in samples]
+    for x in samples:
+        x.setflags(write=False)
+    before = [x.tobytes() for x in samples]
+    with mock.patch.object(tailstats, "_SORTED_CHECK", check):
+        for x in samples:
+            for y in samples:
+                assert ks_distance(x, y) == ks_reference(x, y)
+    assert [x.tobytes() for x in samples] == before
+
+
+def test_ks_distance_takes_interleaved_signed_zeros_as_sorted(ks_reference):
+    # -0.0 == 0.0, so this order passes the check; np.sort may order them otherwise
+    a = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 2.0, np.inf])
+    b = np.array([-np.inf, 0.0, -0.0, 1.0])
+    assert tailstats._sorted(a) is a
+    for x, y in ((a, b), (b, a), (a, a[::-1]), (a, a[:4])):
+        assert ks_distance(x, y) == ks_reference(x, y)
+
+
+def test_the_order_check_sorts_only_samples_out_of_order():
+    x = np.arange(10.0)
+    with mock.patch.object(tailstats, "_SORTED_CHECK", 3):
+        assert tailstats._sorted(x) is x
+        # out of order only across a block boundary, or only at the last value
+        for i in (2, 3, 8):
+            y = x.copy()
+            y[i], y[i + 1] = y[i + 1], y[i]
+            assert np.array_equal(tailstats._sorted(y), x)
+        y = np.append(x, np.nan)
+        assert tailstats._sorted(y) is not y
+        assert np.array_equal(tailstats._sorted(y), y, equal_nan=True)
+    # a single value is in order, even a NaN
+    one = np.array([np.nan])
+    assert tailstats._sorted(one) is one
 
 
 def _merged_values(a, b) -> tuple[float, int, int]:
