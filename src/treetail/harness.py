@@ -471,7 +471,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
     decay_ratios: dict[int, float] = {}
 
     w_pool = simulate.init_pool(law, size, streams, kind=KIND_W)
-    var_w = float(w_pool.values.var(ddof=1)) / size
+    var_w = _moments(w_pool.values).s2 / size
     for n in range(1, min(config.depth, MEAN_CHECK_MAX_N) + 1):
         w_pool = simulate.evolve_pool_w(law, w_pool, streams)
         check = _mean_check("W", n, asymptotics.mean_w(law, n), _moments(w_pool.values),
@@ -499,7 +499,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
         chain_hi = simulate.constant_pool(law, size, KS_START)
 
     r_pool = simulate.init_pool(law, size, streams, kind=KIND_R_PARTIAL)
-    var_r = float(r_pool.values.var(ddof=1)) / size
+    var_r = _moments(r_pool.values).s2 / size
     for n in range(1, config.depth + 1):
         if chain0 is not None:
             chain0 = simulate.iterate_fixed_point(law, chain0, 1, streams)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .branching import BranchingLaw
+from .branching import BranchingLaw, node_sums
 from .errors import BudgetExceeded, DomainError, FingerprintMismatch
 from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool, check_memory
 from .streams import BLOCK, StreamTree, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W
@@ -106,20 +106,8 @@ def sample_w_exact(law: BranchingLaw, depth: int, rng: np.random.Generator, size
 
 def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
     """``size`` draws of the one-shot sum  sum_{i<=N} C_i X_i + Q  with i.i.d. X."""
-    m = int(size)
-    q, n, weights = law.draw_roots(m, rng)
-    x = x_dist.sample_many(rng, int(n.sum()))
-    # in place, and weights freed before the repeat index is made, as in
-    # _evolve's fill, which cut verify-q's peak RSS from 92.8 to 81.8 MB in
-    # 10 perfbench pairs (BENCH_21.json); the out-of-place form took a
-    # 2M-sum sum-appendix run's traced peak from 7.26 to 9.03 MB, past the
-    # 8 MB the harness tests allow
-    x *= weights
-    del weights
-    # float64 even when no node has a child: bincount of empty weights is int64
-    totals = np.bincount(np.repeat(np.arange(m), n), weights=x, minlength=m).astype(float, copy=False)
-    totals += q
-    return totals
+    return node_sums(law, rng, np.empty(int(size)),
+                     lambda rng, w: np.multiply(w, x_dist.sample_many(rng, w.size), out=w))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +180,10 @@ def constant_pool(law: BranchingLaw, size: int, value: float) -> SamplePool:
     )
 
 
-def _evolve(law, pool, streams, add_q, out_kind):
+def _evolve(law, pool, streams, kind):
+    """The ``kind`` pool one generation on: Q + sum_i C_i Y_i (no Q for W), Y_i resampled from ``pool``."""
+    if pool.kind != kind:
+        raise DomainError(f"expected a {kind} pool, got {pool.kind}")
     if pool.law_fingerprint != law.fingerprint():
         raise FingerprintMismatch(
             f"pool was built under law {pool.law_fingerprint}, asked to evolve under {law.fingerprint()}"
@@ -200,43 +191,23 @@ def _evolve(law, pool, streams, add_q, out_kind):
     prev = pool.values
     gen = pool.generation + 1
 
-    def fill(rng, out):
-        m = out.size
-        q, n, weights = law.draw_roots(m, rng)
-        picks = rng.integers(0, prev.size, size=int(n.sum()))
-        # in place, each temporary dropped once spent. IEEE + and * commute,
-        # so every value keeps the bits of bincount(idx, weights * prev[picks]) + q.
-        # Against the out-of-place form over 10 alternating perfbench pairs
-        # on a 2-vCPU box, verify-q's peak RSS fell from 92.8 to 81.8 MB and
-        # its wall time read 5.83 against 6.25 s (BENCH_21.json)
-        if add_q:
-            out[:] = q
-        del q
-        weights *= prev[picks]
-        del picks
-        idx = np.repeat(np.arange(m), n)
-        del n
-        sums = np.bincount(idx, weights=weights, minlength=m)
-        if add_q:
-            out += sums
-        else:
-            out[:] = sums
+    def resampled(rng, weights):
+        return np.multiply(weights, prev[rng.integers(0, prev.size, size=weights.size)], out=weights)
 
-    values = _run_blocks(fill, streams, _KIND_TAGS[out_kind], gen, prev.size)
+    values = _run_blocks(lambda rng, out: node_sums(law, rng, out, resampled, add_q=kind != KIND_W),
+                         streams, _KIND_TAGS[kind], gen, prev.size)
     return SamplePool(
         values=values,
-        kind=out_kind,
+        kind=kind,
         generation=gen,
         law_fingerprint=pool.law_fingerprint,
-        seed_lineage=pool.seed_lineage[:-1] + (f"{out_kind}/gen={gen}",),
+        seed_lineage=pool.seed_lineage[:-1] + (f"{kind}/gen={gen}",),
     )
 
 
 def evolve_pool_w(law: BranchingLaw, pool: SamplePool, streams: StreamTree) -> SamplePool:
     """One generation of  W_n = sum_k C_k W_{n-1,k}  by population resampling."""
-    if pool.kind != KIND_W:
-        raise DomainError(f"expected a {KIND_W} pool, got {pool.kind}")
-    return _evolve(law, pool, streams, add_q=False, out_kind=KIND_W)
+    return _evolve(law, pool, streams, KIND_W)
 
 
 def evolve_pool_r(law: BranchingLaw, pool: SamplePool, streams: StreamTree, threads: int = 1) -> SamplePool:
@@ -244,9 +215,7 @@ def evolve_pool_r(law: BranchingLaw, pool: SamplePool, streams: StreamTree, thre
 
     ``threads`` is inert; it stays only because the benchmark's tests pass it.
     """
-    if pool.kind != KIND_R_PARTIAL:
-        raise DomainError(f"expected a {KIND_R_PARTIAL} pool, got {pool.kind}")
-    return _evolve(law, pool, streams, add_q=True, out_kind=KIND_R_PARTIAL)
+    return _evolve(law, pool, streams, KIND_R_PARTIAL)
 
 
 def iterate_fixed_point(
@@ -268,5 +237,5 @@ def iterate_fixed_point(
     pool = initial
     del initial  # so that a start the caller does not keep is freed after step 1
     for _ in range(steps):
-        pool = _evolve(law, pool, streams, add_q=True, out_kind=KIND_R_STAR)
+        pool = _evolve(law, pool, streams, KIND_R_STAR)
     return pool

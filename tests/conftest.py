@@ -44,10 +44,23 @@ def _evolve_block(law, prev, add_q):
     return draw
 
 
+def _weighted_sum(law, x_dist, rng, m):
+    """The out-of-place one-shot sums  sum_{i<=N} C_i X_i + Q."""
+    q, n, weights = law.draw_roots(m, rng)
+    x = x_dist.sample_many(rng, int(n.sum()))
+    return np.bincount(np.repeat(np.arange(m), n), weights=weights * x, minlength=m) + q
+
+
+def _rho_sums(law, beta, m, rng):
+    """The out-of-place per-node sums  sum_{i<=N} C_i^beta  that rho_beta_mc averages."""
+    _, n, weights = law.draw_roots(m, rng)
+    return np.bincount(np.repeat(np.arange(m), n), weights=weights ** beta, minlength=m)
+
+
 @pytest.fixture(scope="session")
 def block_reference():
-    """The (scheduler, evolve block) that pools drawn in place must match bit for bit."""
-    return _run_blocks_concatenated, _evolve_block
+    """The (scheduler, evolve block, one-shot sums, rho sums) that the in-place node step must match bit for bit."""
+    return _run_blocks_concatenated, _evolve_block, _weighted_sum, _rho_sums
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from treetail.harness import (
 from treetail.pools import KIND_R_PARTIAL
 from treetail.streams import BLOCK, StreamTree
 from treetail.tailstats import TailSketch
-from treetail.errors import BudgetExceeded, ConfigError, RegimeMismatch, TreetailError
+from treetail.errors import BudgetExceeded, ConfigError, EmptyGrid, RegimeMismatch, TreetailError
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -413,6 +413,15 @@ def test_tree_scenario_peak_live_memory(name, pools):
     config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"),
                      pool_size=1 << 18, depth=KS_STEPS)
     assert _traced_peak(config) < pools * 8 * config.pool_size
+
+
+@pytest.mark.parametrize("name", ["zn", "q"])
+def test_a_pool_of_one_reaches_the_tail_grid_without_a_variance_warning(name):
+    # one sample has no unbiased variance; the mean checks seed theirs at 0,
+    # and the tail grid then finds too few exceedances
+    config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"), pool_size=1, depth=KS_STEPS)
+    with pytest.raises(EmptyGrid):
+        run_scenario(config)
 
 
 @pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])

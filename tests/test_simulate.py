@@ -33,7 +33,7 @@ from treetail import (
     sample_weighted_sum,
 )
 from treetail import harness
-from treetail.branching import sample_zn_many
+from treetail.branching import rho_beta_mc, sample_zn_many
 from treetail.errors import BudgetExceeded, DomainError, FingerprintMismatch
 from treetail.streams import BLOCK, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W, TAG_ZN
 
@@ -257,10 +257,14 @@ BIT_LAWS = {
 }
 
 
+# X of the one-shot sums, the integers from -1 up, so they cancel to exact zeros too
+BIT_X = Shifted(ZetaTail(2.0), -2.0)
+
+
 @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5_000])
 @pytest.mark.parametrize("model", sorted(BIT_LAWS))
 def test_pools_drawn_in_place_are_the_concatenated_blocks_bit_for_bit(model, size, block_reference):
-    run_blocks, evolve_block = block_reference
+    run_blocks, evolve_block, weighted_sum, rho_sums = block_reference
     law, streams = BIT_LAWS[model], StreamTree(11)
 
     def assert_bits(got, want):
@@ -287,6 +291,15 @@ def test_pools_drawn_in_place_are_the_concatenated_blocks_bit_for_bit(model, siz
             want = run_blocks(evolve_block(law, pool.values, add_q=kind != KIND_W), streams, tag, gen, size)
             assert_bits(new.values, want)
             pool = new
+
+    # the one-shot sums and rho_beta_mc take the same node step on one generator
+    assert_bits(sample_weighted_sum(law, BIT_X, np.random.default_rng(size), size),
+                weighted_sum(law, BIT_X, np.random.default_rng(size), size))
+    draws = max(size, 2)
+    for beta in (0.5, 2.0, 2.5):
+        sums = rho_sums(law, beta, draws, np.random.default_rng(size))
+        assert rho_beta_mc(law, beta, draws, np.random.default_rng(size)) == (
+            float(sums.mean()), float(sums.std(ddof=1) / math.sqrt(draws)))
 
 
 def _traced_peak_above(pool, step) -> float:
