@@ -19,10 +19,10 @@ atomic laws shrinks far more slowly. ``ks_cross[k]`` compares step k of the
 chain from 0 with the horizon pool R^(k-1), which has the same law, because
 step 1 is Q.
 
-Order of work in a tree scenario: the Z_N denominator, drawn only under ZN
-dominance (the Q-side ratio has an analytic denominator and nothing else
-reads Z_N) and at once reduced to the one tail sketch that all its ratios
-read, then the W pools, the last of which is freed when the W loop
+Order of work in a tree scenario: ``_denominator``, the one object that
+every tail ratio of the scenario divides by (Q's exact law under Q
+dominance; under ZN dominance Z_N, drawn and at once reduced to one tail
+sketch), then the W pools, the last of which is freed when the W loop
 ends, then the horizon loop R^(1), ..., R^(depth). The two fixed-point
 chains run in lockstep with the first KS_STEPS iterations of that loop:
 iteration k steps each chain once and takes ``ks_series[k]``,
@@ -39,9 +39,9 @@ Am. Stat. 37, 1983). The sketch keeps every sum above the analytic
 denominator's smallest x and the top tenth that the Hill curve reads, and
 the tail ratio, the Hill curve and the Hill pin read only it. A tree
 scenario pins the Hill index on a sketch of the final R pool's top values.
-Both runners end in ``_report``, which pins the Hill index and builds the
-``VerificationReport``; ``write_report`` writes it as JSON by one rule,
-``records.to_json``.
+Both runners draw their band in ``_band`` and end in ``_report``, which pins
+the Hill index and builds the ``VerificationReport``; ``write_report``
+writes it as JSON by one rule, ``records.to_json``.
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
@@ -347,19 +347,21 @@ def scenario_constants(config: ScenarioConfig,
 
 
 def _check_pool_memory(config: ScenarioConfig) -> None:
-    """Refuse a pool size whose float64 arrays cannot fit in physical memory at once.
+    """Refuse a scenario whose float64 arrays cannot fit in physical memory at once.
 
     A tree scenario's R loop holds R^(n-1), the two chains, the pool being
     evolved and one block's temporaries, chain 0 sorted and a sorted copy
     of the sample it is compared with, and Z_N's sketch: 6.7 pool sizes
     traced on zn-baseline at 2^18 samples, so eight is a conservative
     guard. A sum scenario holds its sketch buffer,
-    at least twice the top the Hill curve reads, and a block.
+    at least twice the top the Hill curve reads, and a block. The bootstrap
+    bands, drawn last, are counted on top.
     """
-    size = config.pool_size
+    size, b = config.pool_size, config.bootstrap_b
     values = (2 * tailstats.hill_curve_keep(size) + BLOCK if config.dominant == DOMINANT_SUM
               else 8 * size)
-    simulate.check_memory(8 * values, f"scenario {config.name!r} with pool_size {size}")
+    band = tailstats.band_bytes(size, config.quantile_grid, b)
+    simulate.check_memory(8 * values + band, f"scenario {config.name!r} with pool_size {size}, B {b}")
 
 
 class _Moments(NamedTuple):
@@ -452,20 +454,29 @@ def _draw_zn(law: BranchingLaw, size: int, streams: StreamTree) -> np.ndarray:
                                 streams, TAG_ZN, 0, size)
 
 
+def _denominator(config: ScenarioConfig, streams: StreamTree):
+    """What every tail ratio of a tree scenario divides by: Q's exact law, or Z_N's sketch.
+
+    Z_N, on its own stream, is drawn only under ZN dominance, and sketched
+    at once down to the largest probability of both grids.
+    """
+    if config.dominant == DOMINANT_Q:
+        return config.law.q_dist
+    zn = _draw_zn(config.law, config.pool_size, streams)
+    return TailSketch.of(zn, *tailstats.den_sketch_bounds(zn.size, DECAY_GRID + config.quantile_grid))
+
+
+def _band(config: ScenarioConfig, num, den, streams: StreamTree) -> TailReport:
+    """The scenario's tail ratio of ``num`` to ``den``: its band and trend, each on its own stream."""
+    return tailstats.tail_ratio(
+        num, den, config.quantile_grid, bootstrap_b=config.bootstrap_b,
+        rng=streams.child(TAG_BOOTSTRAP, 0, 0), trend_rng=streams.child(TAG_BOOTSTRAP, 2, 0))
+
+
 def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport:
     law, size = config.law, config.pool_size
     zn_dominant = config.dominant == DOMINANT_ZN
-
-    # only the ZN-side ratios read Z_N; it has its own stream, so skipping
-    # it under Q dominance moves no other value
-    zn = None
-    if zn_dominant:
-        zn = _draw_zn(law, size, streams)
-        # every ZN-side ratio reads Z_N above its quantile at its largest grid
-        # probability, so one sketch kept down to the largest of both grids
-        # serves them all, and the full array is freed before the W pools
-        p_max = max(*DECAY_GRID, *config.quantile_grid)
-        zn = TailSketch.of(zn, keep=size - int(tailstats._higher_index(size, 1.0 - p_max)))
+    den = _denominator(config, streams)
 
     mean_checks: list[MeanCheck] = []
     decay_ratios: dict[int, float] = {}
@@ -481,7 +492,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
         if zn_dominant and n in DECAY_GENERATIONS:
             try:
                 rep = tailstats.tail_ratio(
-                    w_pool.values, zn, DECAY_GRID,
+                    w_pool.values, den, DECAY_GRID,
                     min_exceedances=DECAY_MIN_EXCEEDANCES, bootstrap_b=200,
                     rng=streams.child(TAG_BOOTSTRAP, 1, n), with_hill=False)
                 decay_ratios[n] = max(rep.ratio)
@@ -522,15 +533,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
             var_r = check.stderr ** 2
             mean_checks.append(check)
 
-    boot_rng, trend_rng = streams.child(TAG_BOOTSTRAP, 0, 0), streams.child(TAG_BOOTSTRAP, 2, 0)
-    if zn_dominant:
-        tail = tailstats.tail_ratio(
-            r_pool.values, zn, config.quantile_grid,
-            bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
-    else:
-        tail = tailstats.tail_ratio_analytic(
-            r_pool.values, law.q_dist, config.quantile_grid,
-            bootstrap_b=config.bootstrap_b, rng=boot_rng, trend_rng=trend_rng)
+    tail = _band(config, r_pool.values, den, streams)
 
     decay = None
     if zn_dominant and config.depth >= DECAY_GENERATIONS[-1]:
@@ -584,10 +587,8 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
             raise RegimeMismatch("the law's additive-input tail does not match x_dist's index")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
 
-    # the smallest x the tail ratio reads, as it reads it
-    x_min = float(x_dist.quantile(1.0 - max(config.quantile_grid)))
-    builder = tailstats.TailSketchBuilder(floor=x_min,
-                                          keep=tailstats.hill_curve_keep(config.pool_size))
+    builder = tailstats.TailSketchBuilder(
+        *tailstats.num_sketch_bounds(config.pool_size, x_dist, config.quantile_grid))
     moments = _RunningMoments()
     for rng, m in simulate._blocks(streams, TAG_SUM, 0, config.pool_size):
         sums = simulate.sample_weighted_sum(law, x_dist, rng, size=m)
@@ -596,10 +597,7 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
         del sums  # before the next block is drawn
     sketch = builder.build()
 
-    tail = tailstats.tail_ratio_analytic(
-        sketch, x_dist, config.quantile_grid,
-        bootstrap_b=config.bootstrap_b, rng=streams.child(TAG_BOOTSTRAP, 0, 0),
-        trend_rng=streams.child(TAG_BOOTSTRAP, 2, 0))
+    tail = _band(config, sketch, x_dist, streams)
 
     predicted_mean = regime.rho * e_x + law.q_mean()
     check = _mean_check("SUM", 0, predicted_mean, moments.moments())

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import treetail
-from treetail import ks_distance, simulate
+from treetail import ks_distance, simulate, tailstats
 from treetail.cli import cli
 from treetail.harness import load_config
 from treetail.pools import (
@@ -313,6 +313,17 @@ def test_tail_command_writes_curve_files(runner, tmp_path):
     lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "p,x,ccdf_num,ccdf_den,ratio,ci_low,ci_high"
     assert len(lines) == 3
+
+
+def test_tail_refuses_a_band_past_physical_memory_before_drawing_it(runner, tmp_path):
+    path = tmp_path / "p.pool"
+    save_pool(pareto_pool(6), path)
+    with mock.patch.object(tailstats, "_ratio_at", side_effect=AssertionError("drawn")):
+        result = runner.invoke(cli, ["tail", "--num", str(path), "--den", str(path),
+                                     "--bootstrap-b", "10000000000"])
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert "physical memory" in result.stderr
 
 
 def test_tail_csv_format_prints_table(runner, tmp_path):

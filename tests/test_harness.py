@@ -394,6 +394,24 @@ def test_zn_is_sketched_once_for_every_ratio(tiny_report):
     assert dens[0].n == config.pool_size
 
 
+@pytest.mark.parametrize("name", ["zn", "q"])
+def test_one_denominator_per_tree_scenario(name):
+    config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"), pool_size=50_000)
+    den = harness._denominator(config, StreamTree(config.seed))
+    if name == "q":
+        assert den is config.law.q_dist
+        return
+    # the sketch the run took of Z_N, kept down to numpy's "higher" order
+    # statistic at 1 - p_max, for p_max the largest of both grids
+    size = config.pool_size
+    p_max = max(*harness.DECAY_GRID, *config.quantile_grid)
+    zn = harness._draw_zn(config.law, size, StreamTree(config.seed))
+    want = TailSketch.of(zn, keep=size - int(np.ceil((size - 1) * (1.0 - p_max))))
+    assert (den.n, den.n_pos, den.n_nan, den.cutoff, den.n_at) == (
+        want.n, want.n_pos, want.n_nan, want.cutoff, want.n_at)
+    assert den.top.tobytes() == want.top.tobytes()
+
+
 def _traced_peak(config) -> int:
     tracemalloc.start()
     try:
@@ -424,9 +442,15 @@ def test_a_pool_of_one_reaches_the_tail_grid_without_a_variance_warning(name):
         run_scenario(config)
 
 
-@pytest.mark.parametrize("doc", [tiny_doc(), SUM_DOC], ids=["tree", "sum"])
+@pytest.mark.parametrize("doc", [
+    tiny_doc(pool_size=2 ** 62),
+    dict(SUM_DOC, pool_size=2 ** 62),
+    # bands of 10^10 resamples would take 224 GiB, drawn after the whole run
+    tiny_doc(law=Q_LAW_DOC, alpha=2.5, dominant=DOMINANT_Q, bootstrap_B=10 ** 10),
+    dict(SUM_DOC, bootstrap_B=10 ** 10),
+], ids=["tree", "sum", "tree-bootstrap", "sum-bootstrap"])
 def test_a_pool_size_past_physical_memory_is_refused_before_any_allocation(doc):
-    config = ScenarioConfig.from_json(dict(doc, pool_size=2 ** 62))
+    config = ScenarioConfig.from_json(doc)
     with mock.patch.object(simulate, "_run_blocks", side_effect=AssertionError("allocated")), \
             mock.patch.object(simulate, "sample_weighted_sum", side_effect=AssertionError("allocated")):
         with pytest.raises(BudgetExceeded, match="physical memory"):
@@ -434,8 +458,11 @@ def test_a_pool_size_past_physical_memory_is_refused_before_any_allocation(doc):
 
 
 @pytest.mark.parametrize("doc, values", [
-    (tiny_doc(), 8 * 20_000),  # eight live pools
-    (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK),  # the sketch buffer and one block
+    # eight live pools, then five arrays of B = 200 resamples at 2 grid
+    # points and the 7 rungs of the ladder from p = 0.05 at n = 20000
+    (tiny_doc(), 8 * 20_000 + 5 * 200 * (2 + 7)),
+    # the sketch buffer and one block, then the bands at 1 grid point
+    (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK + 5 * 200 * (1 + 7)),
 ], ids=["tree", "sum"])
 def test_the_pool_memory_projection(doc, values, physical_memory):
     config = ScenarioConfig.from_json(doc)
