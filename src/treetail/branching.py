@@ -399,6 +399,14 @@ def node_sums(law: BranchingLaw, rng: np.random.Generator, out: np.ndarray,
     Against that out-of-place form (10 alternating perfbench pairs, 2-vCPU
     box) verify-q's peak RSS fell from 92.8 to 81.8 MB (BENCH_21.json), and
     a 2M-sum sum-appendix run's traced peak from 9.03 to 7.26 MB.
+
+    The child terms are summed per node on one of two paths, chosen from
+    the drawn counts: when every node has the same k >= 1 children (k * m
+    terms and no count below k), as k column adds of the (m, k) terms onto
+    0.0; otherwise as ``bincount(repeat(arange(m), n), terms)``. bincount
+    adds each term in order onto its node's sum, which starts at 0.0, so
+    both paths make the same additions in the same order and give the
+    same bits, signed zeros included.
     """
     m = out.size
     q, n, weights = law.draw_roots(m, rng)
@@ -407,11 +415,21 @@ def node_sums(law: BranchingLaw, rng: np.random.Generator, out: np.ndarray,
     del q
     if terms is not None:
         weights = terms(rng, weights)
-    idx = np.repeat(np.arange(m), n)
-    del n
-    # out is float64, so an int64 bincount of empty weights casts into it
-    sums = np.bincount(idx, weights=weights, minlength=m)
-    del idx, weights
+    k = int(n[0]) if m else 0
+    if k and k * m == weights.size and n.min() == k:
+        del n
+        cols = weights.reshape(m, k)
+        sums = cols[:, 0] + 0.0
+        for c in range(1, k):
+            sums += cols[:, c]
+        del cols
+    else:
+        idx = np.repeat(np.arange(m), n)
+        del n
+        # out is float64, so an int64 bincount of empty weights casts into it
+        sums = np.bincount(idx, weights=weights, minlength=m)
+        del idx
+    del weights
     if add_q:
         out += sums
     else:

@@ -140,6 +140,27 @@ class Constant(Distribution):
         u.fill(self.value)
         return u
 
+    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` copies of the value; ``rng`` ends where ``rng.random(size)`` leaves it.
+
+        A PCG64 stream is advanced ``size`` steps and draws nothing. That
+        is exact because each double of ``rng.random`` takes one whole
+        64-bit output and never reads the buffered 32-bit half, which
+        ``advance`` clears and which is put back here. Any other bit
+        generator draws the uniforms.
+        """
+        bits = rng.bit_generator
+        if type(bits) is not np.random.PCG64:
+            return super().sample_many(rng, size)
+        values = np.full(int(size), float(self.value))
+        state = bits.state
+        bits.advance(values.size)
+        if state["has_uint32"]:
+            after = bits.state
+            after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+            bits.state = after
+        return values
+
     def ccdf(self, x):
         x, scalar = _prepare(x)
         return _maybe_scalar((x < self.value).astype(float), scalar)

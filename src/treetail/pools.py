@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, DomainError, PoolFormatError
 
 __all__ = [
     "SamplePool", "KIND_W", "KIND_R_PARTIAL", "KIND_R_STAR",
-    "check_memory", "save_pool", "load_pool", "export_csv",
+    "check_memory", "all_finite", "save_pool", "load_pool", "export_csv",
 ]
 
 KIND_W = "W"
@@ -49,6 +49,19 @@ def check_memory(nbytes: int, what: str) -> None:
                              f"more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, read without a full-size mask when it is.
+
+    A NaN or an infinity among the values makes their sum NaN or infinite,
+    so a finite sum proves every value finite. Finite values can also
+    overflow the sum; only then is each value checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(values.sum()):
+            return True
+    return bool(np.isfinite(values).all())
+
+
 @dataclass(frozen=True)
 class SamplePool:
     """Immutable samples of one tree functional under one branching law."""
@@ -63,7 +76,7 @@ class SamplePool:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise DomainError("pool values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise DomainError("pool values must all be finite")
         if self.kind not in _KINDS:
             raise DomainError(f"pool kind must be one of {_KINDS}, got {self.kind!r}")

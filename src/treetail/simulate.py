@@ -25,7 +25,7 @@ import numpy as np
 
 from .branching import BranchingLaw, node_sums
 from .errors import BudgetExceeded, DomainError, FingerprintMismatch
-from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool, check_memory
+from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool, all_finite, check_memory
 from .streams import BLOCK, StreamTree, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W
 
 __all__ = [
@@ -138,7 +138,7 @@ def _run_blocks(fill, streams: StreamTree, tag: int, gen: int, size: int) -> np.
         # a draw that overflows is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             fill(rng, out)
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise DomainError("pool values must all be finite")
         lo += m
     return values
@@ -192,7 +192,12 @@ def _evolve(law, pool, streams, kind):
     gen = pool.generation + 1
 
     def resampled(rng, weights):
-        return np.multiply(weights, prev[rng.integers(0, prev.size, size=weights.size)], out=weights)
+        picks = rng.integers(0, prev.size, size=weights.size)
+        # the parents are gathered into the buffer of their indices: every
+        # pick lies in range, so mode "clip" changes none, and unlike the
+        # default "raise" it does not buffer ``out`` in a copy
+        parents = prev.take(picks, out=picks.view(np.float64), mode="clip")
+        return np.multiply(weights, parents, out=weights)
 
     values = _run_blocks(lambda rng, out: node_sums(law, rng, out, resampled, add_q=kind != KIND_W),
                          streams, _KIND_TAGS[kind], gen, prev.size)

@@ -276,11 +276,28 @@ _EVERY_KIND = [
 ]
 
 
+def _pcg64_holding_a_half():
+    rng = np.random.default_rng(11)
+    rng.integers(0, 10 ** 6, 3)  # three 32-bit draws leave one buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+# Constant advances a PCG64 without drawing, keeping the buffered 32-bit
+# half that rng.random never reads; other bit generators draw the uniforms
+_GENERATORS = {
+    "pcg64": lambda: np.random.default_rng(11),
+    "pcg64-half": _pcg64_holding_a_half,
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(11)),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
 @pytest.mark.parametrize("dist", _EVERY_KIND, ids=lambda d: d.kind)
 @pytest.mark.parametrize("size", [0, 1, 65539])
-def test_sample_many_is_quantile_of_the_same_uniforms(dist, size):
+def test_sample_many_is_quantile_of_the_same_uniforms(dist, size, generator):
     """sample_many draws and consumes exactly what quantile(rng.random(n)) does."""
-    rng, rng2 = np.random.default_rng(11), np.random.default_rng(11)
+    rng, rng2 = _GENERATORS[generator](), _GENERATORS[generator]()
     got = dist.sample_many(rng, size)
     u = rng2.random(size)
     kept = u.copy()
@@ -288,7 +305,12 @@ def test_sample_many_is_quantile_of_the_same_uniforms(dist, size):
     assert got.dtype == np.float64 and got.shape == (size,)
     assert np.array_equal(got, expected)
     assert np.array_equal(u, kept)  # quantile never writes into its argument
-    assert rng.bit_generator.state == rng2.bit_generator.state
+    assert _state(rng) == _state(rng2)
+
+
+def _state(rng) -> str:
+    """The bit generator's state as JSON text, its arrays (MT19937's key) as lists."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("dist", _EVERY_KIND, ids=lambda d: d.kind)

@@ -19,7 +19,7 @@ from treetail import (
     save_pool,
 )
 from treetail import pools
-from treetail.errors import BudgetExceeded, PoolFormatError, TreetailError
+from treetail.errors import BudgetExceeded, DomainError, PoolFormatError, TreetailError
 from treetail.pools import _HEADER, _MAGIC, _VERSION
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
@@ -135,6 +135,26 @@ def test_load_rejects_malformed_metadata(tmp_path, meta_block, match):
         load_pool(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_pool_refuses_a_non_finite_value(bad):
+    values = np.ones(1000)
+    values[997] = bad
+    with pytest.raises(DomainError, match="finite"):
+        make_pool(values=values)
+
+
+def test_a_pool_whose_sum_overflows_is_finite():
+    # the sum of the values is inf, so each value is checked, with no warning
+    assert make_pool(values=[1e308, 1e308]).values.tolist() == [1e308, 1e308]
+    assert make_pool(values=[-1e308, -1e308, 1.0]).values.tolist() == [-1e308, -1e308, 1.0]
+
+
+def test_a_finite_pool_is_checked_without_a_mask():
+    # np.isfinite(values).all() traced one byte per value
+    values = np.random.default_rng(4).random(1_000_000)
+    assert _peak_bytes(make_pool, values) < 0.02 * values.nbytes
+
+
 def test_load_rejects_non_finite_values(tmp_path):
     path = tmp_path / "pool.bin"
     path.write_bytes(_pool_bytes(_meta(), values=(1.0, np.nan, 3.0)))
@@ -205,7 +225,7 @@ def test_load_reads_the_payload_once(tmp_path):
     path = tmp_path / "pool.bin"
     save_pool(pool, path)
     # read() plus frombuffer plus a writable copy peaked at 16.2 MiB, two
-    # payloads; one payload is 7.6 MiB, and the finiteness check adds 1 MiB
+    # payloads; one payload is 7.6 MiB
     assert _peak_bytes(load_pool, path) <= 1.2 * values.nbytes
     back = load_pool(path)
     assert back.values.tobytes() == values.tobytes()

@@ -32,7 +32,7 @@ from treetail import (
     sample_w_exact,
     sample_weighted_sum,
 )
-from treetail import harness
+from treetail import harness, simulate
 from treetail.branching import rho_beta_mc, sample_zn_many
 from treetail.errors import BudgetExceeded, DomainError, FingerprintMismatch
 from treetail.streams import BLOCK, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W, TAG_ZN
@@ -244,6 +244,28 @@ def test_pool_sizes_above_one_block_are_block_invariant():
     np.testing.assert_array_equal(a.values[:65_536], short.values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_scheduler_stops_at_the_first_block_with_a_non_finite_value(bad):
+    filled = []
+
+    def fill(rng, out):
+        out[:] = 1.0
+        if len(filled) == 1:
+            out[-1] = bad
+        filled.append(out.size)
+
+    with pytest.raises(DomainError, match="finite"):
+        simulate._run_blocks(fill, StreamTree(1), TAG_POOL_W, 1, 3 * BLOCK)
+    assert filled == [BLOCK, BLOCK]
+
+
+def test_the_scheduler_keeps_finite_blocks_whose_sum_overflows():
+    # each block sums to inf, so its values are checked one by one, with no warning
+    values = simulate._run_blocks(lambda rng, out: out.fill(1e308), StreamTree(1), TAG_POOL_W, 1,
+                                  BLOCK + 2)
+    assert np.all(values == 1e308)
+
+
 # N - 1 for N ~ ZetaTail(2): 75% of nodes have no children
 CHILDLESS = Shifted(ZetaTail(2.0), -1.0)
 
@@ -255,6 +277,14 @@ BIT_LAWS = {
     "pagerank_like": PageRankLike(0.85, ZetaTail(2.0), ZetaTail(2.0)),
     "inverse_n": InverseN(Pareto(2.5, 1.0), CHILDLESS, 0.9, 0.5),
 }
+# and every node with the same k children, which the node step sums by
+# columns (k >= 1); 75% of the weights ZetaTail(2) - 1 are 0, which times
+# a negative parent is -0.0, so child sums are exact zeros of either sign
+# unless they start from 0.0 as bincount's do
+BIT_LAWS.update({
+    f"constant_n{k}": IndependentIID(Shifted(Exponential(1.0), -1.0), Constant(float(k)), CHILDLESS)
+    for k in (0, 1, 3)
+})
 
 
 # X of the one-shot sums, the integers from -1 up, so they cancel to exact zeros too
