@@ -21,8 +21,8 @@ step 1 is Q.
 
 Order of work in a tree scenario: ``_denominator``, the one object that
 every tail ratio of the scenario divides by (Q's exact law under Q
-dominance; under ZN dominance Z_N, drawn and at once reduced to one tail
-sketch), then the W pools, the last of which is freed when the W loop
+dominance; under ZN dominance one tail sketch of Z_N, taken as it is
+drawn), then the W pools, the last of which is freed when the W loop
 ends, then the horizon loop R^(1), ..., R^(depth). The two fixed-point
 chains run in lockstep with the first KS_STEPS iterations of that loop:
 iteration k steps each chain once and takes ``ks_series[k]``,
@@ -31,23 +31,25 @@ chain holds one pool at a time and both are dropped after step KS_STEPS.
 Streams are keyed by (purpose, generation, block), so this order changes no
 sampled value.
 
-A sum scenario never holds its sums. They are drawn one fixed block at a
-time, in order, and each block goes into a ``tailstats.TailSketchBuilder``
-and a running mean and sum of squared deviations (the pairwise update of
-Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
-Am. Stat. 37, 1983). The sketch keeps every sum above the analytic
-denominator's smallest x and the top tenth that the Hill curve reads, and
-the tail ratio, the Hill curve and the Hill pin read only it. A tree
-scenario pins the Hill index on a sketch of the final R pool's top values.
-Both runners draw their band in ``_band`` and end in ``_report``, which pins
-the Hill index and builds the ``VerificationReport``; ``write_report``
-writes it as JSON by one rule, ``records.to_json``.
+One-shot draws, Z_N and a sum scenario's sums, are never held whole:
+``_sketch_blocks`` draws them one fixed block at a time, in order, and
+feeds each block to a ``tailstats.TailSketchBuilder``. A sum scenario's
+draw also feeds a running mean and sum of squared deviations (the pairwise
+update of Chan, Golub & LeVeque, "Algorithms for computing the sample
+variance", Am. Stat. 37, 1983). The numerator of a scenario's band is
+sketched once, down to the denominator's smallest x and the top tenth that
+the Hill curve reads: the sums as they are drawn, R^(depth) after its last
+generation. The tail ratio, the Hill curve and the Hill pin read only that
+sketch. Both runners draw their band in ``_band`` and end in ``_report``,
+which pins the Hill index and builds the ``VerificationReport``;
+``write_report`` writes it as JSON by one rule, ``records.to_json``.
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
 and the one-shot sums are drawn in fixed blocks, in turn, each block on its
 own derived stream: ``simulate._blocks`` yields each block's stream and
-length, and ``simulate._run_blocks`` writes each block straight into its
-slice of one array allocated up front.
+length, ``simulate._run_blocks`` writes each pool block straight into its
+slice of one array allocated up front, and ``_sketch_blocks`` feeds each
+one-shot block to a sketch, whose content does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from .branching import (
     validate_regime,
 )
 from .distributions import Distribution, dist_from_json
-from .errors import ConfigError, EmptyGrid, RegimeMismatch
-from .pools import KIND_R_PARTIAL, KIND_W
+from .errors import ConfigError, DomainError, EmptyGrid, RegimeMismatch
+from .pools import KIND_R_PARTIAL, KIND_W, all_finite
 from .streams import BLOCK, StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
 from .tailstats import TailReport, TailSketch
 
@@ -351,10 +353,10 @@ def _check_pool_memory(config: ScenarioConfig) -> None:
 
     A tree scenario's R loop holds R^(n-1), the two chains, the pool being
     evolved and one block's temporaries, chain 0 sorted and a sorted copy
-    of the sample it is compared with, and Z_N's sketch: 6.7 pool sizes
-    traced on zn-baseline at 2^18 samples, so eight is a conservative
-    guard. A sum scenario holds its sketch buffer,
-    at least twice the top the Hill curve reads, and a block. The bootstrap
+    of the sample it is compared with, and Z_N's sketch, taken as Z_N is
+    drawn: 6.64 pool sizes traced on zn-baseline at 2^18 samples, so eight
+    is a conservative guard. A sum scenario holds its sketch buffer, at
+    least twice the top the Hill curve reads, and a block. The bootstrap
     bands, drawn last, are counted on top.
     """
     size, b = config.pool_size, config.bootstrap_b
@@ -430,8 +432,8 @@ def _report(config, regime, constants, sketch, tail, target, mean_checks, verdic
     """The report of a scenario run: every runner ends here.
 
     The Hill index is pinned at k = min(HILL_K, max(2, n_pos // 10)) on
-    ``sketch``, which holds its top k + 1. The band, Hill and mean-identity
-    verdicts come ahead of the runner's own ``verdicts``.
+    ``sketch``, the band's numerator, which holds its top k + 1. The band,
+    Hill and mean-identity verdicts come ahead of the runner's own ``verdicts``.
     """
     hill_k = min(HILL_K, max(2, sketch.n_pos // 10))
     hill_est = tailstats.hill(sketch, hill_k)
@@ -448,22 +450,35 @@ def _report(config, regime, constants, sketch, tail, target, mean_checks, verdic
     )
 
 
-def _draw_zn(law: BranchingLaw, size: int, streams: StreamTree) -> np.ndarray:
-    """``size`` draws of Z_N, in the fixed blocks of its own stream."""
-    return simulate._run_blocks(lambda rng, out: np.copyto(out, sample_zn_many(law, out.size, rng)),
-                                streams, TAG_ZN, 0, size)
+def _sketch_blocks(draw, tag: int, size: int, streams: StreamTree, bounds) -> TailSketch:
+    """The sketch, to ``bounds`` = (floor, keep), of ``size`` draws of ``draw(rng, m)``, never held whole.
+
+    Each of ``tag``'s fixed blocks is drawn, checked finite as a pool block
+    is, and sketched before the next is drawn.
+    """
+    builder = tailstats.TailSketchBuilder(*bounds)
+    for rng, m in simulate._blocks(streams, tag, 0, size):
+        # a draw that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = draw(rng, m)
+        if not all_finite(block):
+            raise DomainError("one-shot draws must all be finite")
+        builder.add(block)
+        del block  # before the next block is drawn
+    return builder.build()
 
 
 def _denominator(config: ScenarioConfig, streams: StreamTree):
     """What every tail ratio of a tree scenario divides by: Q's exact law, or Z_N's sketch.
 
     Z_N, on its own stream, is drawn only under ZN dominance, and sketched
-    at once down to the largest probability of both grids.
+    as it is drawn, kept down to the largest probability of both grids.
     """
     if config.dominant == DOMINANT_Q:
         return config.law.q_dist
-    zn = _draw_zn(config.law, config.pool_size, streams)
-    return TailSketch.of(zn, *tailstats.den_sketch_bounds(zn.size, DECAY_GRID + config.quantile_grid))
+    size = config.pool_size
+    return _sketch_blocks(lambda rng, m: sample_zn_many(config.law, m, rng), TAG_ZN, size, streams,
+                          tailstats.den_sketch_bounds(size, DECAY_GRID + config.quantile_grid))
 
 
 def _band(config: ScenarioConfig, num, den, streams: StreamTree) -> TailReport:
@@ -533,7 +548,9 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
             var_r = check.stderr ** 2
             mean_checks.append(check)
 
-    tail = _band(config, r_pool.values, den, streams)
+    # one sketch of R^(depth) serves the band, the Hill curve and the Hill pin
+    num = TailSketch.of(r_pool.values, *tailstats.num_sketch_bounds(size, den, config.quantile_grid))
+    tail = _band(config, num, den, streams)
 
     decay = None
     if zn_dominant and config.depth >= DECAY_GENERATIONS[-1]:
@@ -560,8 +577,7 @@ def _run_tree_scenario(config, regime, constants, streams) -> VerificationReport
             and ks_series[KS_STEPS] < KS_TOLERANCE
             and ks_cross[KS_STEPS] < KS_TOLERANCE
         )
-    pinned = TailSketch.of(r_pool.values, keep=HILL_K + 1)
-    return _report(config, regime, constants, pinned, tail, constants.h_limit, mean_checks,
+    return _report(config, regime, constants, num, tail, constants.h_limit, mean_checks,
                    verdicts, decay, ks_series, ks_cross, coupled_gap)
 
 
@@ -587,15 +603,15 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
             raise RegimeMismatch("the law's additive-input tail does not match x_dist's index")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
 
-    builder = tailstats.TailSketchBuilder(
-        *tailstats.num_sketch_bounds(config.pool_size, x_dist, config.quantile_grid))
     moments = _RunningMoments()
-    for rng, m in simulate._blocks(streams, TAG_SUM, 0, config.pool_size):
+
+    def draw(rng, m):
         sums = simulate.sample_weighted_sum(law, x_dist, rng, size=m)
-        builder.add(sums)
         moments.add(sums)
-        del sums  # before the next block is drawn
-    sketch = builder.build()
+        return sums
+
+    sketch = _sketch_blocks(draw, TAG_SUM, config.pool_size, streams,
+                            tailstats.num_sketch_bounds(config.pool_size, x_dist, config.quantile_grid))
 
     tail = _band(config, sketch, x_dist, streams)
 

@@ -14,9 +14,10 @@ absolute thresholds.
 The tail estimators read only the top of a sample, so they read it through
 a ``TailSketch``: the sample's counts and its values above a cutoff,
 sorted. The tail ratio, the Hill estimator and the Hill curve take either
-a sample, which they sketch in one gather, or a sketch, which a
-``TailSketchBuilder`` can build from blocks without ever holding the whole
-sample. A question about values below a sketch's cutoff raises instead of
+a sample, which they sketch as one block, or a sketch. Every sketch is
+built one way, by a ``TailSketchBuilder`` fed blocks, which gathers each
+block in fixed slices, so a sample is never copied or sorted whole. A
+question about values below a sketch's cutoff raises instead of
 miscounting.
 """
 
@@ -61,46 +62,14 @@ def _as_samples(x, name: str) -> np.ndarray:
 # tail sketches
 # ---------------------------------------------------------------------------
 
-# the strided subsample that sets the candidate threshold of ``_candidates``
-_TOP_SUBSAMPLE = 1 << 16
-
-
 def _split(values: np.ndarray, cutoff: float) -> tuple[np.ndarray, int]:
     """The entries of ``values`` above ``cutoff``, and the count of those equal to it."""
     return values[values > cutoff], int(np.count_nonzero(values == cutoff))
 
 
-def _candidates(arr: np.ndarray, m: int) -> tuple[float, np.ndarray, int]:
-    """(t, the entries of ``arr`` above t, the count equal to t), with m or more non-NaN entries >= t.
-
-    A threshold t read off a strided subsample of about 2^16 values leaves a
-    few more than m values at or above it, so the full sample is neither
-    copied nor partitioned, and a run of values tied at t is counted, not
-    gathered. If fewer than m values reach the threshold, t is -inf instead.
-    ``arr`` must hold at least m non-NaN values.
-    """
-    sub = arr[::max(1, arr.size // _TOP_SUBSAMPLE)]
-    expected = m * sub.size / arr.size  # of the top m, expected in the subsample
-    rank = math.ceil(expected + 4.0 * math.sqrt(expected) + 8.0)
-    sub = sub[~np.isnan(sub)]
-    if rank <= sub.size:
-        sub.partition(sub.size - rank)
-        threshold = float(sub[sub.size - rank])
-        del sub  # freed before the full-size masks below
-        above, ties = _split(arr, threshold)
-        if above.size + ties >= m:
-            return threshold, above, ties
-    return (-math.inf, *_split(arr, -math.inf))
-
-
-def _kth_largest(values: np.ndarray, k: int) -> float:
-    """The k-th largest of the NaN-free ``values``, which are partitioned in place."""
-    values.partition(values.size - k)
-    return float(values[values.size - k])
-
-
-# the stretch of a buffer that ``_keep_in_place`` filters, or
-# ``_resampled_shares`` divides, at a time
+# the stretch of a block that ``TailSketchBuilder.add`` gathers, of a buffer
+# that ``_keep_in_place`` filters, or of one that ``_resampled_shares``
+# divides, at a time
 _COMPACT_CHUNK = 1 << 16
 
 
@@ -140,8 +109,9 @@ class TailSketch:
     * ``quantile_higher``: numpy's ``method="higher"`` quantiles;
     * ``top_positive``: the largest positive values, for the Hill estimator.
 
-    Sketches are built by ``TailSketch.of`` from an array in one gather, or
-    by a ``TailSketchBuilder`` from blocks; see the builder for the cutoff.
+    Sketches are built by a ``TailSketchBuilder`` from blocks, or by
+    ``TailSketch.of`` from one array fed to a builder as one block; see the
+    builder for the cutoff.
     """
 
     n: int
@@ -215,16 +185,15 @@ class TailSketchBuilder:
     sketch does not depend on how the sample was split into blocks or in
     what order they came.
 
-    Each block is counted, and only its values above the running cutoff are
-    gathered, through a one-byte mask; those at the cutoff are counted.
-    Once a block holds ``keep`` + 1 values, its own (``keep`` + 1)-th
-    largest raises that bound, and only a few more than ``keep`` candidates
-    are gathered from it. The gathered values go into one buffer; when it is
-    full, its (``keep`` + 1)-th largest raises the running cutoff and the
-    values below it are dropped in place. The buffer is sized to hold twice
-    what the sketch keeps, so it is compacted only every so often and never
-    holds more than twice the sketch plus one block. ``build`` sorts the
-    buffer in place and shrinks it into the sketch.
+    Each block is counted, then gathered in fixed slices of
+    ``_COMPACT_CHUNK`` (2^16) values: a slice's values above the running
+    cutoff are copied out through a one-byte mask, and those at the cutoff
+    are counted. The gathered values go into one buffer; when it is full,
+    its (``keep`` + 1)-th largest raises the running cutoff and the values
+    below it are dropped in place. The buffer is sized to hold twice what
+    the sketch keeps, so it is compacted only every so often and never
+    holds more than twice the sketch plus two slices, however large a block
+    is. ``build`` sorts the buffer in place and shrinks it into the sketch.
     """
 
     def __init__(self, floor: float = math.inf, keep: int = 0):
@@ -240,29 +209,14 @@ class TailSketchBuilder:
         self._size = 0
 
     def add(self, block) -> None:
-        """Count ``block`` and gather its values above the running cutoff."""
+        """Count ``block`` and gather its values above the running cutoff, one slice at a time."""
         self._check_unspent()
         block = _as_samples(block, "block")
-        n_nan = int(np.count_nonzero(np.isnan(block)))
         self._n += block.size
         self._n_pos += int(np.count_nonzero(block > 0))
-        self._n_nan += n_nan
-        lower, candidates = self._cutoff, None
-        if block.size - n_nan > self._keep:
-            t, above, ties = _candidates(block, self._keep + 1)
-            kth = _kth_largest(above, self._keep + 1) if above.size > self._keep else t
-            lower = max(lower, min(self._floor, kth))
-            if lower >= t:  # the candidates hold every value >= lower
-                candidates = (t, above, ties)
-        if lower > self._cutoff:
-            self._raise(lower)
-        if candidates is None:
-            gathered, at = _split(block, lower)
-        elif lower == candidates[0]:
-            gathered, at = candidates[1:]
-        else:
-            gathered, at = _split(candidates[1], lower)
-        self._append(gathered, at)
+        self._n_nan += int(np.count_nonzero(np.isnan(block)))
+        for lo in range(0, block.size, _COMPACT_CHUNK):
+            self._append(*_split(block[lo:lo + _COMPACT_CHUNK], self._cutoff))
 
     def build(self) -> TailSketch:
         """The sketch of every block added so far; the builder is then spent."""
@@ -290,7 +244,8 @@ class TailSketchBuilder:
         """
         held, j = self._buf[:self._size], self._keep + 1
         if held.size >= j:
-            kth = _kth_largest(held, j)
+            held.partition(held.size - j)  # held values lie above the cutoff: none is NaN
+            kth = float(held[held.size - j])
         else:
             kth = self._cutoff if held.size + self._n_at >= j else -math.inf
         bound = min(self._floor, kth)
@@ -343,9 +298,8 @@ def hill(samples, k: int) -> float:
 
     alpha_hat = [ (1/k) sum_{i<=k} log(X_(i) / X_(k+1)) ]^{-1}  with the
     X_(i) in descending order. ``samples`` is an array, left unchanged, or a
-    ``TailSketch`` that holds the top k + 1 positive values. From an array,
-    besides a one-byte mask per sample, only a few more than k + 1
-    candidates are gathered.
+    ``TailSketch`` that holds the top k + 1 positive values. An array is
+    sketched down to its top k + 1, so it is neither copied nor sorted.
     """
     if not isinstance(samples, TailSketch):
         samples = TailSketch.of(_as_samples(samples, "samples"), keep=k + 1 if k >= 2 else 0)
@@ -560,13 +514,17 @@ def num_sketch_bounds(n: int, den, quantile_grid, with_hill: bool = True) -> tup
 # both resampled shares, each divided in the buffer of its counts, and
 # np.percentile's working space (2.12 traced at B = 200000 against an
 # empirical denominator, 1.34 exact)
-_BAND_ARRAYS = 5
+_BAND_ARRAYS = 3
 
 
-def band_bytes(n: int, quantile_grid, bootstrap_b: int) -> int:
-    """A bound on the bytes of a tail ratio's bands on the grid and the trend ladder, for n samples."""
+def band_bytes(n: int | None, quantile_grid, bootstrap_b: int) -> int:
+    """A bound on the bytes of a tail ratio's bands on the grid and, for n samples, the trend ladder.
+
+    With n None no trend is drawn, and only the grid's band is counted.
+    """
     grid = _clean_grid(quantile_grid)
-    return 8 * _BAND_ARRAYS * bootstrap_b * (grid.size + _half_decades(grid[0], n).size)
+    rungs = 0 if n is None else _half_decades(grid[0], n).size
+    return 8 * _BAND_ARRAYS * bootstrap_b * (grid.size + rungs)
 
 
 def tail_ratio(
@@ -593,9 +551,10 @@ def tail_ratio(
     percentile bootstrap over with-replacement resamples of each sample at
     the fixed x-grid, whose exceedance counts are exactly binomial, so they
     are drawn directly. A law is exempt from the floor and the bootstrap.
-    Bands past physical memory raise ``BudgetExceeded`` before any draw.
+    Bands past physical memory raise ``BudgetExceeded`` before any draw;
+    the trend's ladder is counted only when the trend is drawn.
 
-    A sample is not sorted or changed: it is sketched in one gather by
+    A sample is not sorted or changed: it is sketched as one block by
     ``den_sketch_bounds`` or ``num_sketch_bounds``. A sketch passed in must
     hold what those rules keep.
 
@@ -618,7 +577,8 @@ def tail_ratio(
     if isinstance(num, np.ndarray):
         num = TailSketch.of(num, *num_sketch_bounds(num.size, den, grid, with_hill))
     n = min(num.n, den.n) if isinstance(den, TailSketch) else num.n
-    check_memory(band_bytes(n, grid, bootstrap_b), f"a tail-ratio band of B = {bootstrap_b}")
+    check_memory(band_bytes(None if trend_rng is None else n, grid, bootstrap_b),
+                 f"a tail-ratio band of B = {bootstrap_b}")
     report = _ratio_at(num, den, grid, min_exceedances, bootstrap_b, level, rng)
     trend = None
     if trend_rng is not None:

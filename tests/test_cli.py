@@ -513,3 +513,30 @@ def test_cli_and_shipped_constants_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(configs)],
                          env=env, capture_output=True, text=True, check=True).stdout.split()
     assert out == ["q-baseline.json", "sum-appendix.json", "zn-baseline.json", "[]"]
+
+
+# a closed form that overflows a float, put into a shipped config
+OVERFLOWING = {
+    # E[C^2.5] of C ~ Uniform(0, 1e300), which validate_regime reads
+    "q-baseline": lambda doc: doc["law"]["params"].update(
+        c_dist={"kind": "uniform", "params": {"low": 0.0, "high": 1e300}}),
+    # the tail scale 1e306^2 of X ~ Pareto(2, 1e306), read before any sum is drawn
+    "sum-appendix": lambda doc: doc.update(
+        x_dist={"kind": "pareto", "params": {"alpha": 2.0, "x_min": 1e306}}),
+}
+
+
+@pytest.mark.parametrize("name, command", [
+    ("q-baseline", "constants"), ("q-baseline", "verify"), ("sum-appendix", "verify")])
+def test_a_closed_form_that_overflows_is_an_error(runner, tmp_path, name, command):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_text())
+    OVERFLOWING[name](doc)
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(doc))
+    args = [command, str(config)] + (["--out", str(tmp_path / "out")] if command == "verify" else [])
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "overflows" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -440,3 +440,21 @@ def test_from_json_rejects_malformed_documents():
     for text in ("NaN", "Infinity", "-Infinity", "1e400"):
         with pytest.raises(ConfigError, match="finite number"):
             dist_from_json(json.loads(f'{{"kind": "constant", "params": {{"value": {text}}}}}'))
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda: Constant(1e300).moment(2.0),
+    lambda: Constant(-1e300).moment(3.0),
+    lambda: Uniform(0.0, 1e300).moment(2.5),
+    lambda: Uniform(-1.0, 1e300).moment(2.0),
+    lambda: Exponential(1e-300).moment(2.0),
+    lambda: Exponential(1.0).moment(200.0),
+    lambda: Pareto(3.0, 1e300).moment(2.0),
+    lambda: Pareto(2.0, 1e306).tail_scale(),
+    lambda: LogNormal(1000.0, 1.0).moment(1.0),
+    lambda: Shifted(Exponential(1.0), 1e300).moment(2.0),
+], ids=["constant", "constant-negative", "uniform", "uniform-negative", "exponential-rate",
+        "exponential-gamma", "pareto-moment", "pareto-tail-scale", "lognormal", "shifted"])
+def test_a_closed_form_past_the_float_range_is_a_domain_error(closed_form):
+    with pytest.raises(DomainError, match="overflows a float"):
+        closed_form()

@@ -32,8 +32,9 @@ from treetail.harness import (
     _mean_check,
     _moments,
 )
+from treetail.branching import sample_zn_many
 from treetail.pools import KIND_R_PARTIAL
-from treetail.streams import BLOCK, StreamTree
+from treetail.streams import BLOCK, TAG_ZN, StreamTree
 from treetail.tailstats import TailSketch
 from treetail.errors import BudgetExceeded, ConfigError, EmptyGrid, RegimeMismatch, TreetailError
 
@@ -383,7 +384,8 @@ def test_lockstep_chains_match_full_trajectories(ks_reference):
 
 def test_zn_is_sketched_once_for_every_ratio(tiny_report):
     config = ScenarioConfig.from_json(tiny_doc())
-    with mock.patch.object(tailstats, "tail_ratio", wraps=tailstats.tail_ratio) as spy:
+    with mock.patch.object(tailstats, "tail_ratio", wraps=tailstats.tail_ratio) as spy, \
+            mock.patch.object(tailstats, "hill", wraps=tailstats.hill) as hill_spy:
         rep = run_scenario(config)
     assert rep.to_json_dict() == tiny_report.to_json_dict()
     # the decay ratios of generations 2..8 and the main ratio read one sketch
@@ -392,10 +394,17 @@ def test_zn_is_sketched_once_for_every_ratio(tiny_report):
     assert isinstance(dens[0], TailSketch)
     assert all(den is dens[0] for den in dens)
     assert dens[0].n == config.pool_size
+    # the main ratio's numerator is R^(depth)'s one sketch, which the Hill
+    # curve and the Hill pin read too
+    num = spy.call_args_list[-1].args[0]
+    assert isinstance(num, TailSketch)
+    assert num.n == config.pool_size
+    assert hill_spy.call_args_list[-1].args == (num, rep.hill_k)
+    assert all(c.args[0] is num for c in hill_spy.call_args_list)
 
 
 @pytest.mark.parametrize("name", ["zn", "q"])
-def test_one_denominator_per_tree_scenario(name):
+def test_one_denominator_per_tree_scenario(name, block_reference):
     config = replace(load_config(CONFIG_DIR / f"{name}-baseline.json"), pool_size=50_000)
     den = harness._denominator(config, StreamTree(config.seed))
     if name == "q":
@@ -405,11 +414,26 @@ def test_one_denominator_per_tree_scenario(name):
     # statistic at 1 - p_max, for p_max the largest of both grids
     size = config.pool_size
     p_max = max(*harness.DECAY_GRID, *config.quantile_grid)
-    zn = harness._draw_zn(config.law, size, StreamTree(config.seed))
+    run_blocks = block_reference[0]
+    zn = run_blocks(lambda rng, m: sample_zn_many(config.law, m, rng),
+                    StreamTree(config.seed), TAG_ZN, 0, size)
     want = TailSketch.of(zn, keep=size - int(np.ceil((size - 1) * (1.0 - p_max))))
     assert (den.n, den.n_pos, den.n_nan, den.cutoff, den.n_at) == (
         want.n, want.n_pos, want.n_nan, want.cutoff, want.n_at)
     assert den.top.tobytes() == want.top.tobytes()
+
+
+def test_a_z_n_that_overflows_is_refused_at_its_first_block():
+    # Z_N sums two weights C ~ Pareto(0.01, 1), which overflow to inf on
+    # about one draw in 1200, so the first block holds some and the second
+    # is never drawn
+    law = json.loads(json.dumps(Q_LAW_DOC))
+    law["params"]["c_dist"] = {"kind": "pareto", "params": {"alpha": 0.01, "x_min": 1.0}}
+    config = ScenarioConfig.from_json(tiny_doc(law=law, pool_size=2 * BLOCK))
+    with mock.patch.object(StreamTree, "child", autospec=True, side_effect=StreamTree.child) as child:
+        with pytest.raises(TreetailError, match="finite"):
+            harness._denominator(config, StreamTree(config.seed))
+    assert [c.args[1:] for c in child.call_args_list] == [(TAG_ZN, 0, 0)]
 
 
 def _traced_peak(config) -> int:
@@ -458,11 +482,11 @@ def test_a_pool_size_past_physical_memory_is_refused_before_any_allocation(doc):
 
 
 @pytest.mark.parametrize("doc, values", [
-    # eight live pools, then five arrays of B = 200 resamples at 2 grid
+    # eight live pools, then three arrays of B = 200 resamples at 2 grid
     # points and the 7 rungs of the ladder from p = 0.05 at n = 20000
-    (tiny_doc(), 8 * 20_000 + 5 * 200 * (2 + 7)),
+    (tiny_doc(), 8 * 20_000 + 3 * 200 * (2 + 7)),
     # the sketch buffer and one block, then the bands at 1 grid point
-    (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK + 5 * 200 * (1 + 7)),
+    (SUM_DOC, 2 * (20_000 // 10 + 1) + BLOCK + 3 * 200 * (1 + 7)),
 ], ids=["tree", "sum"])
 def test_the_pool_memory_projection(doc, values, physical_memory):
     config = ScenarioConfig.from_json(doc)

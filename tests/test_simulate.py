@@ -32,10 +32,10 @@ from treetail import (
     sample_w_exact,
     sample_weighted_sum,
 )
-from treetail import harness, simulate
-from treetail.branching import rho_beta_mc, sample_zn_many
+from treetail import simulate
+from treetail.branching import rho_beta_mc
 from treetail.errors import BudgetExceeded, DomainError, FingerprintMismatch
-from treetail.streams import BLOCK, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W, TAG_ZN
+from treetail.streams import BLOCK, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -302,8 +302,6 @@ def test_pools_drawn_in_place_are_the_concatenated_blocks_bit_for_bit(model, siz
         assert got.dtype == np.float64
         assert got.tobytes() == want.astype(np.float64).tobytes()
 
-    assert_bits(harness._draw_zn(law, size, streams),
-                run_blocks(lambda rng, m: sample_zn_many(law, m, rng), streams, TAG_ZN, 0, size))
     start = init_pool(law, size, streams, kind=KIND_W)
     assert_bits(start.values,
                 run_blocks(lambda rng, m: law.sample_q_many(m, rng), streams, TAG_POOL_INIT, 0, size))

@@ -22,7 +22,7 @@ from treetail import (
     tail_ratio_analytic,
 )
 from treetail import tailstats
-from treetail.errors import DegenerateTail, DomainError, EmptyGrid, NonPositive, TreetailError
+from treetail.errors import BudgetExceeded, DegenerateTail, DomainError, EmptyGrid, NonPositive, TreetailError
 from treetail.streams import BLOCK
 from treetail.tailstats import TailSketch, TailSketchBuilder
 
@@ -121,7 +121,7 @@ def test_hill_equals_the_partition_reference(hill_reference, values, k, order):
 
 @pytest.mark.parametrize("order", ["as drawn", "sorted", "reversed"])
 def test_hill_equals_the_reference_on_strided_subsamples(hill_reference, order):
-    """Past 2^17 samples the candidate threshold comes from a strided subsample."""
+    """Samples of several 2^16-value slices, gathered one slice at a time."""
     ref_hill, ref_curve = hill_reference
     rng = RNG(12)
     values = np.concatenate([pareto_samples(2.0, 300_000, seed=13).round(1),
@@ -134,8 +134,9 @@ def test_hill_equals_the_reference_on_strided_subsamples(hill_reference, order):
 
 
 def test_hill_falls_back_when_the_subsample_misleads(hill_reference):
-    # every fourth value (the strided subsample) holds the large ones, so the
-    # subsample's threshold keeps fewer than k + 1 candidates
+    # the 1000 large values sit on every fourth index of the first 2^16-value
+    # slice; at k = 2000 the rest of the top k + 1 are ties at 0.5, which
+    # the sketch counts at its cutoff and does not store
     ref_hill, _ = hill_reference
     arr = np.full(1 << 18, 0.5)
     arr[: 4 * 1000: 4] = 1000.0 + np.arange(1000.0)
@@ -706,6 +707,22 @@ def test_a_band_divides_its_resamples_in_place(tail_ratio_reference, den_kind, a
     assert peak < arrays * 8 * b * grid.size
 
 
+def test_a_band_without_a_trend_counts_no_ladder_rungs(physical_memory):
+    # three grid points; the ladder from p = 0.05 down to one sample in
+    # 20000 would add 7 rungs, each a band of three arrays of B float64
+    dist, grid, b = Pareto(2.0, 1.0), (0.05, 0.02, 0.01), 1000
+    num, den = dist.sample_many(RNG(50), 20_000), dist.sample_many(RNG(51), 20_000)
+    grid_bands = 8 * 3 * b * len(grid)
+    with physical_memory(grid_bands):
+        rep = tail_ratio(num, den, grid, bootstrap_b=b, with_hill=False)
+        assert rep.trend is None
+        with pytest.raises(BudgetExceeded, match="physical memory"):
+            tail_ratio(num, den, grid, bootstrap_b=b, with_hill=False, trend_rng=RNG(52))
+    with physical_memory(grid_bands - 1):
+        with pytest.raises(BudgetExceeded, match="physical memory"):
+            tail_ratio(num, den, grid, bootstrap_b=b, with_hill=False)
+
+
 @pytest.mark.parametrize("with_hill", [True, False])
 def test_tail_ratio_reads_a_numerator_with_more_than_a_tenth_above_the_grid(
         tail_ratio_reference, with_hill):
@@ -794,7 +811,7 @@ def test_a_sketch_fed_in_any_blocks_is_the_sketch_of_the_whole(values, floor, ke
 @pytest.mark.parametrize("floor,keep", [(math.inf, 30_001), (5.0, 30_001), (1.5, 1_000),
                                         (math.inf, 0), (20.0, 0), (-math.inf, 5)])
 def test_a_sketch_of_pipeline_sized_blocks_is_the_sketch_of_the_whole(floor, keep):
-    """Past 2^17 values the candidates come from a strided subsample."""
+    """A whole and blocks of several 2^16-value slices, gathered one slice at a time."""
     values = np.concatenate([pareto_samples(2.0, 300_000, seed=39).round(1),
                              -np.ones(20_000), np.zeros(20_000), [np.nan] * 10])
     RNG(40).shuffle(values)
