@@ -29,7 +29,7 @@ from .branching import (
     ZN_DOMINATES,
     validate_regime,
 )
-from .errors import DomainError, ModelMismatch
+from .errors import DomainError, ModelMismatch, closed_form
 
 __all__ = [
     "h_n_zn",
@@ -56,6 +56,7 @@ def _check_common(rho: float, rho_alpha: float, alpha: float):
         raise DomainError(f"alpha must exceed 1, got {alpha!r}")
 
 
+@closed_form
 def h_n_zn(e_q: float, rho: float, rho_alpha: float, alpha: float, n: int) -> float:
     """Finite-horizon tail constant of R^(n) against P(Z_N > x)."""
     _check_common(rho, rho_alpha, alpha)
@@ -67,6 +68,7 @@ def h_n_zn(e_q: float, rho: float, rho_alpha: float, alpha: float, n: int) -> fl
     return e_q ** alpha * math.fsum(terms) / (1.0 - rho) ** alpha
 
 
+@closed_form
 def h_limit_zn(e_q: float, rho: float, rho_alpha: float, alpha: float) -> float:
     """Limit tail constant of R against P(Z_N > x)."""
     _check_common(rho, rho_alpha, alpha)
@@ -100,6 +102,7 @@ def _rho_alpha_or_raise(law: BranchingLaw, alpha: float) -> float:
     return rho_alpha
 
 
+@closed_form
 def sum_constant_zn(law: BranchingLaw, alpha: float, e_x: float, c_ratio: float) -> float:
     """Tail constant of sum_i C_i X_i + Q against P(X > x), heavy-Z_N case.
 
@@ -126,6 +129,7 @@ def sum_constant_q(law: BranchingLaw, alpha: float, c_ratio: float) -> float:
     return _rho_alpha_or_raise(law, alpha) + c_ratio
 
 
+@closed_form
 def jessen_mikosch_zn_constant(law: BranchingLaw, alpha: float) -> float:
     """(E C_1)^alpha, the constant in P(Z_N > x) ~ (E C_1)^alpha P(N > x).
 

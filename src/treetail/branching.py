@@ -21,7 +21,7 @@ import numpy as np
 
 from . import records
 from .distributions import Constant, Distribution, dist_from_json
-from .errors import DomainError
+from .errors import DomainError, closed_form
 
 __all__ = [
     "RootBatch",
@@ -202,6 +202,7 @@ class IndependentIID(BranchingLaw):
         indices = (self.n_dist.tail_index(), self.c_dist.tail_index())
         return min((i for i in indices if i is not None), default=None)
 
+    @closed_form
     def zn_tail_scale(self):
         # Only the count-dominant case (heavy N, lighter C) has the clean
         # weighted-sum constant (E C)^alpha * scale(N).
@@ -237,6 +238,7 @@ class DeterministicWeight(BranchingLaw):
         weights = np.full(int(n.sum()), float(self.c))
         return RootBatch(q, n, weights)
 
+    @closed_form
     def rho_beta(self, beta):
         if self.c == 0:
             return 0.0
@@ -255,6 +257,7 @@ class DeterministicWeight(BranchingLaw):
             return None
         return self.n_dist.tail_index()
 
+    @closed_form
     def zn_tail_scale(self):
         idx = self.zn_tail_index()
         if idx is None:
@@ -355,6 +358,7 @@ class InverseN(BranchingLaw):
             return 1.0 if power == 0 else nd.moment(power)
         return None
 
+    @closed_form
     def rho_beta(self, beta):
         if self.c == 0:
             return 0.0
@@ -372,6 +376,7 @@ class InverseN(BranchingLaw):
             return None
         return n_idx / (1.0 - self.gamma)
 
+    @closed_form
     def zn_tail_scale(self):
         idx = self.zn_tail_index()
         if idx is None:

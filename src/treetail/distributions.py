@@ -22,14 +22,13 @@ either has ``tail_index() is None`` (all power moments finite) or satisfies
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import records
-from .errors import DomainError
+from .errors import DomainError, closed_form
 
 __all__ = [
     "Distribution",
@@ -70,18 +69,6 @@ def _power_into(u: np.ndarray, exponent: float) -> np.ndarray:
     else:
         u **= exponent
     return u
-
-
-def _closed_form(method):
-    """``method``, with the ``OverflowError`` of Python's float math raised as ``DomainError``."""
-    @functools.wraps(method)
-    def checked(self, *args):
-        try:
-            return method(self, *args)
-        except OverflowError:
-            shown = ", ".join(map(repr, args))
-            raise DomainError(f"{self!r}.{method.__name__}({shown}) overflows a float") from None
-    return checked
 
 
 class Distribution:
@@ -178,7 +165,7 @@ class Constant(Distribution):
         x, scalar = _prepare(x)
         return _maybe_scalar((x < self.value).astype(float), scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         c = self.value
         if beta == 0:
@@ -218,7 +205,7 @@ class Uniform(Distribution):
         frac = (self.high - x) / (self.high - self.low)
         return _maybe_scalar(np.clip(frac, 0.0, 1.0), scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         a, b = self.low, self.high
         if beta == 1:
@@ -258,7 +245,7 @@ class Exponential(Distribution):
         x, scalar = _prepare(x)
         return _maybe_scalar(np.where(x < 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0))), scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         if beta <= -1:
             return math.inf
@@ -298,7 +285,7 @@ class Pareto(Distribution):
         out = np.where(x < self.x_min, 1.0, (np.maximum(x, self.x_min) / self.x_min) ** (-self.alpha))
         return _maybe_scalar(out, scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         if beta >= self.alpha:
             return math.inf
@@ -310,7 +297,7 @@ class Pareto(Distribution):
     def tail_index(self):
         return float(self.alpha)
 
-    @_closed_form
+    @closed_form
     def tail_scale(self):
         return float(self.x_min ** self.alpha)
 
@@ -439,7 +426,7 @@ class LogNormal(Distribution):
         out = np.where(x <= 0, 1.0, special.ndtr((self.mu - np.log(np.maximum(x, 1e-300))) / self.sigma))
         return _maybe_scalar(out, scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         return math.exp(self.mu * beta + 0.5 * self.sigma ** 2 * beta ** 2)
 
@@ -469,7 +456,7 @@ class Shifted(Distribution):
         x, scalar = _prepare(x)
         return _maybe_scalar(np.asarray(self.inner.ccdf(x - self.offset), dtype=float), scalar)
 
-    @_closed_form
+    @closed_form
     def moment(self, beta):
         if beta == 1:
             return self.mean()

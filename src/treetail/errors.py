@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for closed forms that overflow."""
+
+import functools
 
 
 class TreetailError(Exception):
@@ -43,3 +45,17 @@ class ConfigError(TreetailError, ValueError):
 
 class PoolFormatError(TreetailError, ValueError):
     """A pool file is corrupt or has an unsupported magic/version."""
+
+
+def closed_form(fn):
+    """``fn``, with the ``OverflowError`` of Python's float math raised as ``DomainError``."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            method = "." in fn.__qualname__  # a method's call is shown on its instance
+            owner = f"{args[0]!r}." if method else ""
+            shown = ", ".join([*map(repr, args[method:]), *(f"{k}={v!r}" for k, v in kwargs.items())])
+            raise DomainError(f"{owner}{fn.__name__}({shown}) overflows a float") from None
+    return checked

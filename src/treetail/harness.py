@@ -31,12 +31,12 @@ chain holds one pool at a time and both are dropped after step KS_STEPS.
 Streams are keyed by (purpose, generation, block), so this order changes no
 sampled value.
 
-One-shot draws, Z_N and a sum scenario's sums, are never held whole:
-``_sketch_blocks`` draws them one fixed block at a time, in order, and
-feeds each block to a ``tailstats.TailSketchBuilder``. A sum scenario's
-draw also feeds a running mean and sum of squared deviations (the pairwise
-update of Chan, Golub & LeVeque, "Algorithms for computing the sample
-variance", Am. Stat. 37, 1983). The numerator of a scenario's band is
+One-shot draws, Z_N and a sum scenario's sums, are never held whole: each
+block that ``simulate.draw_blocks`` yields is fed to a
+``tailstats.TailSketchBuilder`` and let go before the next is drawn. A sum
+scenario's blocks also feed a running mean and sum of squared deviations
+(the pairwise update of Chan, Golub & LeVeque, "Algorithms for computing the
+sample variance", Am. Stat. 37, 1983). The numerator of a scenario's band is
 sketched once, down to the denominator's smallest x and the top tenth that
 the Hill curve reads: the sums as they are drawn, R^(depth) after its last
 generation. The tail ratio, the Hill curve and the Hill pin read only that
@@ -45,11 +45,10 @@ which pins the Hill index and builds the ``VerificationReport``;
 ``write_report`` writes it as JSON by one rule, ``records.to_json``.
 
 Determinism: a report is a pure function of (config, seed). The pools, Z_N
-and the one-shot sums are drawn in fixed blocks, in turn, each block on its
-own derived stream: ``simulate._blocks`` yields each block's stream and
-length, ``simulate._run_blocks`` writes each pool block straight into its
-slice of one array allocated up front, and ``_sketch_blocks`` feeds each
-one-shot block to a sketch, whose content does not depend on the blocks.
+and the one-shot sums all go through one block loop, ``simulate.draw_blocks``:
+fixed blocks, in turn, each on its own derived stream. A pool's blocks are
+written into one array allocated up front; Z_N's and the sums' feed a
+sketch, whose content does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ from .branching import (
     validate_regime,
 )
 from .distributions import Distribution, dist_from_json
-from .errors import ConfigError, DomainError, EmptyGrid, RegimeMismatch
-from .pools import KIND_R_PARTIAL, KIND_W, all_finite
+from .errors import ConfigError, EmptyGrid, RegimeMismatch
+from .pools import KIND_R_PARTIAL, KIND_W
 from .streams import BLOCK, StreamTree, TAG_BOOTSTRAP, TAG_SUM, TAG_ZN
 from .tailstats import TailReport, TailSketch
 
@@ -450,24 +449,6 @@ def _report(config, regime, constants, sketch, tail, target, mean_checks, verdic
     )
 
 
-def _sketch_blocks(draw, tag: int, size: int, streams: StreamTree, bounds) -> TailSketch:
-    """The sketch, to ``bounds`` = (floor, keep), of ``size`` draws of ``draw(rng, m)``, never held whole.
-
-    Each of ``tag``'s fixed blocks is drawn, checked finite as a pool block
-    is, and sketched before the next is drawn.
-    """
-    builder = tailstats.TailSketchBuilder(*bounds)
-    for rng, m in simulate._blocks(streams, tag, 0, size):
-        # a draw that overflows is refused below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = draw(rng, m)
-        if not all_finite(block):
-            raise DomainError("one-shot draws must all be finite")
-        builder.add(block)
-        del block  # before the next block is drawn
-    return builder.build()
-
-
 def _denominator(config: ScenarioConfig, streams: StreamTree):
     """What every tail ratio of a tree scenario divides by: Q's exact law, or Z_N's sketch.
 
@@ -476,9 +457,13 @@ def _denominator(config: ScenarioConfig, streams: StreamTree):
     """
     if config.dominant == DOMINANT_Q:
         return config.law.q_dist
-    size = config.pool_size
-    return _sketch_blocks(lambda rng, m: sample_zn_many(config.law, m, rng), TAG_ZN, size, streams,
-                          tailstats.den_sketch_bounds(size, DECAY_GRID + config.quantile_grid))
+    builder = tailstats.TailSketchBuilder(
+        *tailstats.den_sketch_bounds(config.pool_size, DECAY_GRID + config.quantile_grid))
+    for zn in simulate.draw_blocks(lambda rng, lo, m: sample_zn_many(config.law, m, rng),
+                                   streams, TAG_ZN, 0, config.pool_size):
+        builder.add(zn)
+        del zn  # before the next block is drawn
+    return builder.build()
 
 
 def _band(config: ScenarioConfig, num, den, streams: StreamTree) -> TailReport:
@@ -592,26 +577,27 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
     if not isinstance(e_x, float) or not math.isfinite(e_x) or e_x <= 0.0:
         raise RegimeMismatch("appendix scenarios need 0 < E[X] < infinity")
 
+    # validate_regime has matched the dominant tail's index to alpha
     if regime.regime == ZN_DOMINATES:
         zn_scale = law.zn_tail_scale()
-        if zn_scale is None or abs(law.zn_tail_index() - alpha) > _INDEX_TOL:
-            raise RegimeMismatch("the law's first-generation weight tail does not match x_dist's index")
+        if zn_scale is None:
+            raise RegimeMismatch("the law's first-generation weight tail has no closed-form scale")
         target = asymptotics.sum_constant_zn(law, alpha, e_x, zn_scale / x_scale)
     else:
         q_scale = law.q_tail_scale()
-        if q_scale is None or abs(law.q_tail_index() - alpha) > _INDEX_TOL:
-            raise RegimeMismatch("the law's additive-input tail does not match x_dist's index")
+        if q_scale is None:
+            raise RegimeMismatch("the law's additive-input tail has no closed-form scale")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
 
     moments = _RunningMoments()
-
-    def draw(rng, m):
-        sums = simulate.sample_weighted_sum(law, x_dist, rng, size=m)
+    builder = tailstats.TailSketchBuilder(
+        *tailstats.num_sketch_bounds(config.pool_size, x_dist, config.quantile_grid))
+    for sums in simulate.draw_blocks(lambda rng, lo, m: simulate.sample_weighted_sum(law, x_dist, rng, m),
+                                     streams, TAG_SUM, 0, config.pool_size):
         moments.add(sums)
-        return sums
-
-    sketch = _sketch_blocks(draw, TAG_SUM, config.pool_size, streams,
-                            tailstats.num_sketch_bounds(config.pool_size, x_dist, config.quantile_grid))
+        builder.add(sums)
+        del sums  # before the next block is drawn
+    sketch = builder.build()
 
     tail = _band(config, sketch, x_dist, streams)
 

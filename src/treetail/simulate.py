@@ -8,13 +8,13 @@ Two routes to the same laws:
   resampling child values with replacement from the previous pool, and
   scales to deep horizons at O(M) memory.
 
-Pool evolution is deterministic for a fixed seed: the fixed blocks of
-``streams.BLOCK`` output indices are drawn in turn, each on the stream of its
-(purpose, generation, block), so no block depends on another or on the size.
-``_blocks`` is the one place that forms that key. ``_run_blocks`` allocates
-a pool once and has each block written straight into its slice, so a
-generation holds its input pool, its output pool and one block's
-temporaries.
+Every block draw, of the pools, Z_N and the one-shot sums, is deterministic
+for a fixed seed: ``draw_blocks`` draws the fixed blocks of ``streams.BLOCK``
+output indices in turn, each on the stream of its (purpose, generation,
+block), so no block depends on another or on the size; it alone forms that
+key and refuses a non-finite block. ``_run_blocks`` writes each pool block
+straight into its slice of one array, so a generation holds its input pool,
+its output pool and one block's temporaries.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .pools import KIND_R_PARTIAL, KIND_R_STAR, KIND_W, SamplePool, all_finite, 
 from .streams import BLOCK, StreamTree, TAG_POOL_INIT, TAG_POOL_R, TAG_POOL_RSTAR, TAG_POOL_W
 
 __all__ = [
+    "draw_blocks",
     "sample_r_exact",
     "sample_w_exact",
     "sample_weighted_sum",
@@ -114,33 +115,32 @@ def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
 # population dynamics
 # ---------------------------------------------------------------------------
 
-def _blocks(streams: StreamTree, tag: int, gen: int, size: int):
-    """The fixed blocks of ``size`` draws, in order, one at a time: (stream, length).
+def draw_blocks(draw, streams: StreamTree, tag: int, gen: int, size: int):
+    """The one block loop: ``draw(rng, lo, m)`` on each fixed block of ``size`` draws, yielded in turn.
 
-    Block b draws on the stream keyed (``tag``, ``gen``, b); this is the one
-    place that forms such a key.
+    Block b, draws lo = b * ``BLOCK`` up to lo + m, is drawn on the stream keyed (``tag``, ``gen``, b).
+    A non-finite block is refused with ``DomainError`` before the next block's stream is created.
     """
     for block, lo in enumerate(range(0, size, BLOCK)):
-        yield streams.child(tag, gen, block), min(BLOCK, size - lo)
+        # a draw that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = draw(streams.child(tag, gen, block), lo, min(BLOCK, size - lo))
+        if not all_finite(values):
+            raise DomainError(f"drawn values must all be finite; block {block} holds one that is not")
+        yield values
+        del values  # before the next block is drawn
 
 
 def _run_blocks(fill, streams: StreamTree, tag: int, gen: int, size: int) -> np.ndarray:
-    """The one block scheduler: ``fill(rng, out)`` on each of ``_blocks``, in turn, into one array.
-
-    ``out`` is the block's slice of the array, which ``fill`` overwrites.
-    Raises ``DomainError`` at the first block that holds a non-finite value,
-    so no later block's stream is created.
-    """
+    """One array of ``size`` draws: ``fill(rng, out)`` writes each block of ``draw_blocks`` into its slice."""
     values = np.empty(size)
-    lo = 0
-    for rng, m in _blocks(streams, tag, gen, size):
-        out = values[lo:lo + m]
-        # a draw that overflows is refused below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            fill(rng, out)
-        if not all_finite(out):
-            raise DomainError("pool values must all be finite")
-        lo += m
+
+    def draw(rng, lo, m):
+        fill(rng, out := values[lo:lo + m])
+        return out
+
+    for _ in draw_blocks(draw, streams, tag, gen, size):
+        pass
     return values
 
 

@@ -185,13 +185,13 @@ class TailSketchBuilder:
     sketch does not depend on how the sample was split into blocks or in
     what order they came.
 
-    Each block is counted, then gathered in fixed slices of
-    ``_COMPACT_CHUNK`` (2^16) values: a slice's values above the running
-    cutoff are copied out through a one-byte mask, and those at the cutoff
-    are counted. The gathered values go into one buffer; when it is full,
-    its (``keep`` + 1)-th largest raises the running cutoff and the values
-    below it are dropped in place. The buffer is sized to hold twice what
-    the sketch keeps, so it is compacted only every so often and never
+    Each block is counted and gathered in fixed slices of ``_COMPACT_CHUNK``
+    (2^16) values: a slice's positives and NaNs are counted, its values above
+    the running cutoff are copied out through a one-byte mask, and those at
+    the cutoff are counted. The gathered values go into one buffer; when it is
+    full, its (``keep`` + 1)-th largest raises the running cutoff and the
+    values below it are dropped in place. The buffer is sized to hold twice
+    what the sketch keeps, so it is compacted only every so often and never
     holds more than twice the sketch plus two slices, however large a block
     is. ``build`` sorts the buffer in place and shrinks it into the sketch.
     """
@@ -209,14 +209,15 @@ class TailSketchBuilder:
         self._size = 0
 
     def add(self, block) -> None:
-        """Count ``block`` and gather its values above the running cutoff, one slice at a time."""
+        """Count ``block`` and gather its values above the running cutoff, both one slice at a time."""
         self._check_unspent()
         block = _as_samples(block, "block")
         self._n += block.size
-        self._n_pos += int(np.count_nonzero(block > 0))
-        self._n_nan += int(np.count_nonzero(np.isnan(block)))
         for lo in range(0, block.size, _COMPACT_CHUNK):
-            self._append(*_split(block[lo:lo + _COMPACT_CHUNK], self._cutoff))
+            part = block[lo:lo + _COMPACT_CHUNK]
+            self._n_pos += int(np.count_nonzero(part > 0))
+            self._n_nan += int(np.count_nonzero(np.isnan(part)))
+            self._append(*_split(part, self._cutoff))
 
     def build(self) -> TailSketch:
         """The sketch of every block added so far; the builder is then spent."""

@@ -4,8 +4,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from treetail import pools, simulate, tailstats
+from treetail import pools, tailstats
 from treetail.errors import DegenerateTail, DomainError, EmptyGrid
+from treetail.streams import BLOCK
 
 
 def _ks_by_searchsorted(a, b) -> float:
@@ -28,8 +29,12 @@ def physical_memory():
 
 
 def _run_blocks_concatenated(draw, streams, tag, gen, size):
-    """The concatenating block scheduler: ``draw(rng, m)`` on each block, in turn, concatenated."""
-    return np.concatenate([draw(rng, m) for rng, m in simulate._blocks(streams, tag, gen, size)])
+    """The concatenating block scheduler: ``draw(rng, m)`` on each block, in turn, concatenated.
+
+    Block b holds draws b * BLOCK up to at most (b + 1) * BLOCK, on the stream keyed (tag, gen, b).
+    """
+    return np.concatenate([draw(streams.child(tag, gen, b), min(BLOCK, size - lo))
+                           for b, lo in enumerate(range(0, size, BLOCK))])
 
 
 def _evolve_block(law, prev, add_q):

@@ -523,11 +523,14 @@ OVERFLOWING = {
     # the tail scale 1e306^2 of X ~ Pareto(2, 1e306), read before any sum is drawn
     "sum-appendix": lambda doc: doc.update(
         x_dist={"kind": "pareto", "params": {"alpha": 2.0, "x_min": 1e306}}),
+    # rho_2 = c^2 E[N] of a weight c = 1e200, which validate_regime reads
+    "zn-baseline": lambda doc: doc["law"]["params"].update(c=1e200),
 }
 
 
 @pytest.mark.parametrize("name, command", [
-    ("q-baseline", "constants"), ("q-baseline", "verify"), ("sum-appendix", "verify")])
+    ("q-baseline", "constants"), ("q-baseline", "verify"), ("sum-appendix", "verify"),
+    ("zn-baseline", "constants"), ("zn-baseline", "verify")])
 def test_a_closed_form_that_overflows_is_an_error(runner, tmp_path, name, command):
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_text())
     OVERFLOWING[name](doc)

@@ -22,6 +22,8 @@ from treetail import (
     ZetaTail,
     dist_from_json,
 )
+from treetail.asymptotics import h_limit_zn, h_n_zn, jessen_mikosch_zn_constant, sum_constant_zn
+from treetail.branching import DeterministicWeight, IndependentIID, InverseN
 from treetail.distributions import _KINDS
 from treetail.errors import ConfigError, DomainError
 
@@ -442,19 +444,42 @@ def test_from_json_rejects_malformed_documents():
             dist_from_json(json.loads(f'{{"kind": "constant", "params": {{"value": {text}}}}}'))
 
 
-@pytest.mark.parametrize("closed_form", [
-    lambda: Constant(1e300).moment(2.0),
-    lambda: Constant(-1e300).moment(3.0),
-    lambda: Uniform(0.0, 1e300).moment(2.5),
-    lambda: Uniform(-1.0, 1e300).moment(2.0),
-    lambda: Exponential(1e-300).moment(2.0),
-    lambda: Exponential(1.0).moment(200.0),
-    lambda: Pareto(3.0, 1e300).moment(2.0),
-    lambda: Pareto(2.0, 1e306).tail_scale(),
-    lambda: LogNormal(1000.0, 1.0).moment(1.0),
-    lambda: Shifted(Exponential(1.0), 1e300).moment(2.0),
+# weights of 1e200 and of mean 5e299, whose squares overflow
+HEAVY_WEIGHT = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 1e200)
+HEAVY_MEAN_WEIGHT = IndependentIID(Constant(1.0), ZetaTail(2.0), Uniform(0.0, 1e300))
+HEAVY_INVERSE_N = InverseN(Constant(1.0), ZetaTail(2.0), 1e200, 0.5)
+LIGHT_WEIGHT = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 0.2)
+
+
+# each closed form, and the call its error shows: a method's on its instance
+@pytest.mark.parametrize("closed_form, shown", [
+    (lambda: Constant(1e300).moment(2.0), r"Constant\(value=1e\+300\)\.moment\(2\.0\)"),
+    (lambda: Constant(-1e300).moment(3.0), r"Constant\(value=-1e\+300\)\.moment\(3\.0\)"),
+    (lambda: Uniform(0.0, 1e300).moment(2.5), r"Uniform\(.*\)\.moment\(2\.5\)"),
+    (lambda: Uniform(-1.0, 1e300).moment(2.0), r"Uniform\(.*\)\.moment\(2\.0\)"),
+    (lambda: Exponential(1e-300).moment(2.0), r"Exponential\(rate=1e-300\)\.moment\(2\.0\)"),
+    (lambda: Exponential(1.0).moment(200.0), r"Exponential\(rate=1\.0\)\.moment\(200\.0\)"),
+    (lambda: Pareto(3.0, 1e300).moment(2.0), r"Pareto\(.*\)\.moment\(2\.0\)"),
+    (lambda: Pareto(2.0, 1e306).tail_scale(), r"Pareto\(alpha=2\.0, x_min=1e\+306\)\.tail_scale\(\)"),
+    (lambda: LogNormal(1000.0, 1.0).moment(1.0), r"LogNormal\(.*\)\.moment\(1\.0\)"),
+    (lambda: Shifted(Exponential(1.0), 1e300).moment(2.0),
+     r"Shifted\(inner=Exponential\(rate=1\.0\), offset=1e\+300\)\.moment\(2\.0\)"),
+    (lambda: HEAVY_WEIGHT.rho_beta(2.0), r"DeterministicWeight\(.*\)\.rho_beta\(2\.0\)"),
+    (HEAVY_WEIGHT.zn_tail_scale, r"DeterministicWeight\(.*\)\.zn_tail_scale\(\)"),
+    (HEAVY_MEAN_WEIGHT.zn_tail_scale, r"IndependentIID\(.*\)\.zn_tail_scale\(\)"),
+    (lambda: HEAVY_INVERSE_N.rho_beta(2.0), r"InverseN\(.*\)\.rho_beta\(2\.0\)"),
+    (HEAVY_INVERSE_N.zn_tail_scale, r"InverseN\(.*\)\.zn_tail_scale\(\)"),
+    (lambda: h_n_zn(1e200, 0.5, 0.5, 2.0, 3), r"^h_n_zn\(1e\+200, 0\.5, 0\.5, 2\.0, 3\)"),
+    (lambda: h_limit_zn(1e200, 0.5, 0.5, 2.0), r"^h_limit_zn\(1e\+200, 0\.5, 0\.5, 2\.0\)"),
+    (lambda: sum_constant_zn(LIGHT_WEIGHT, 2.0, e_x=1e200, c_ratio=1.0),
+     r"^sum_constant_zn\(DeterministicWeight\(.*\), 2\.0, e_x=1e\+200, c_ratio=1\.0\)"),
+    # its rho_beta overflows first: (E C)^alpha never outgrows E[C^alpha]
+    (lambda: jessen_mikosch_zn_constant(HEAVY_WEIGHT, 2.0), r"DeterministicWeight\(.*\)\.rho_beta\("),
 ], ids=["constant", "constant-negative", "uniform", "uniform-negative", "exponential-rate",
-        "exponential-gamma", "pareto-moment", "pareto-tail-scale", "lognormal", "shifted"])
-def test_a_closed_form_past_the_float_range_is_a_domain_error(closed_form):
-    with pytest.raises(DomainError, match="overflows a float"):
+        "exponential-gamma", "pareto-moment", "pareto-tail-scale", "lognormal", "shifted",
+        "deterministic-rho-beta", "deterministic-zn-scale", "iid-zn-scale", "inverse-n-rho-beta",
+        "inverse-n-zn-scale", "h-n-zn", "h-limit-zn", "sum-constant-zn", "jessen-mikosch"])
+def test_a_closed_form_past_the_float_range_is_a_domain_error(closed_form, shown):
+    with pytest.raises(DomainError, match="overflows a float") as refused:
         closed_form()
+    assert refused.match(shown)

@@ -34,9 +34,10 @@ from treetail.harness import (
 )
 from treetail.branching import sample_zn_many
 from treetail.pools import KIND_R_PARTIAL
-from treetail.streams import BLOCK, TAG_ZN, StreamTree
+from treetail.streams import BLOCK, TAG_SUM, TAG_ZN, StreamTree
 from treetail.tailstats import TailSketch
-from treetail.errors import BudgetExceeded, ConfigError, EmptyGrid, RegimeMismatch, TreetailError
+from treetail.errors import (BudgetExceeded, ConfigError, DomainError, EmptyGrid, RegimeMismatch,
+                             TreetailError)
 
 pytestmark = pytest.mark.filterwarnings("ignore:pool of size")
 
@@ -434,6 +435,25 @@ def test_a_z_n_that_overflows_is_refused_at_its_first_block():
         with pytest.raises(TreetailError, match="finite"):
             harness._denominator(config, StreamTree(config.seed))
     assert [c.args[1:] for c in child.call_args_list] == [(TAG_ZN, 0, 0)]
+
+
+def test_one_shot_sums_that_overflow_are_refused_at_their_first_block():
+    # an x_dist of index alpha whose draws can overflow has a tail scale that
+    # overflows first, so the first block's inf is put in by hand
+    draw = simulate.sample_weighted_sum
+
+    def overflowing(*args):
+        sums = draw(*args)
+        sums[-1] = np.inf
+        return sums
+
+    config = ScenarioConfig.from_json(dict(SUM_DOC, pool_size=2 * BLOCK))
+    with mock.patch.object(simulate, "sample_weighted_sum", side_effect=overflowing) as drawn, \
+            mock.patch.object(StreamTree, "child", autospec=True, side_effect=StreamTree.child) as child:
+        with pytest.raises(DomainError, match="finite"):
+            run_scenario(config)
+    assert drawn.call_count == 1
+    assert [c.args[1:] for c in child.call_args_list] == [(TAG_SUM, 0, 0)]
 
 
 def _traced_peak(config) -> int:

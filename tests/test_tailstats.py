@@ -157,8 +157,9 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
 
 def test_hill_reads_the_sample_without_copying_it():
     x = pareto_samples(2.0, 2_000_000, seed=14)
-    # copying and partitioning the positives peaked at 1.13x and 1.17x the input's bytes
-    assert _peak_bytes(hill, x, 1000) <= 0.15 * x.nbytes
+    # copying and partitioning the positives peaked at 1.13x and 1.17x the input's
+    # bytes, and two full-size masks of the positives and NaNs at 0.125x
+    assert _peak_bytes(hill, x, 1000) <= 0.09 * x.nbytes
     assert _peak_bytes(hill_curve, x) <= 0.5 * x.nbytes
 
 

@@ -27,8 +27,6 @@ and a change:
 
     python3 tools/gen_layers.py --src ../parent/src --out before.json
     python3 tools/gen_layers.py --out after.json
-
-The probe is not part of the test suite.
 """
 
 from __future__ import annotations
