@@ -151,6 +151,7 @@ def jessen_mikosch_zn_constant(law: BranchingLaw, alpha: float) -> float:
     return e_c ** alpha
 
 
+@closed_form
 def moment_bound_w(law: BranchingLaw, beta: float, n: int) -> float:
     """Upper bound E[(W_n^+)^beta] <= E[(Q^+)^beta] rho_beta^n for beta in (0, 1]."""
     if not 0 < beta <= 1:
@@ -170,6 +171,7 @@ def moment_bound_w(law: BranchingLaw, beta: float, n: int) -> float:
     return q_plus * rho_beta ** n
 
 
+@closed_form
 def mean_w(law: BranchingLaw, n: int) -> float:
     """E[W_n] = E[Q] * rho^n."""
     if n < 0:
@@ -178,6 +180,7 @@ def mean_w(law: BranchingLaw, n: int) -> float:
     return e_q * rho ** n
 
 
+@closed_form
 def mean_r_partial(law: BranchingLaw, n: int) -> float:
     """E[R^(n)] = E[Q] * (1 - rho^(n+1)) / (1 - rho)."""
     if n < 0:
@@ -189,7 +192,7 @@ def mean_r_partial(law: BranchingLaw, n: int) -> float:
 
 
 def _mean_inputs(law: BranchingLaw) -> tuple[float, float]:
-    e_q = law.q_mean()
+    e_q = law.q_dist.mean()
     rho = law.rho_beta(1.0)
     if e_q is None or rho is None:
         raise DomainError("E[Q] or rho not analytically available")
@@ -226,7 +229,7 @@ def compute_constants(
             + "; ".join(report.violated)
         )
     rho, rho_alpha = report.rho, report.rho_alpha
-    e_q = law.q_mean()
+    e_q = law.q_dist.mean()
     if report.regime == ZN_DOMINATES:
         table = {n: h_n_zn(e_q, rho, rho_alpha, alpha, n) for n in range(n_max + 1)}
         limit = h_limit_zn(e_q, rho, rho_alpha, alpha)

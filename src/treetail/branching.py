@@ -2,10 +2,13 @@
 
 A branching law describes one node of a weighted tree: an additive input Q,
 a child count N, and child weights C_1..C_N.  Four model families are
-provided; each knows how to draw root vectors in batches, evaluate
-its branching moments rho_beta = E[sum_i C_i^beta] analytically where closed
-forms exist, and classify which tail-asymptotic regime it falls in for a
-given index alpha.
+provided; each draws root vectors in batches and exposes the laws of Q and N
+as ``q_dist`` and ``n_dist``.  The weight facts that decide the
+tail-asymptotic regime at an index alpha (rho_beta = E[sum_i C_i^beta], E[C],
+and the tail of Z_N = sum_i C_i) follow one rule in ``BranchingLaw`` for the
+three families whose weights are i.i.d. and independent of N: each gives
+only E[C^beta] and the tail index of one weight.  ``InverseN``, whose
+weights depend on N, gives the facts itself.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ def _check_q_dist(q_dist: Distribution, c: float = 0.0):
 class BranchingLaw:
     """Common behavior for the four root-vector model families.
 
-    Every family exposes ``q_dist``, the marginal law of the additive input
-    Q, and the Q-side facts that decide the tail regime are read from it.
+    Every family exposes ``q_dist`` and ``n_dist``, the laws of the additive
+    input Q and of the child count N; the Q and N facts are read from them.
     """
 
     model: str = "base"
@@ -90,20 +93,7 @@ class BranchingLaw:
     def draw_roots(self, size: int, rng: np.random.Generator) -> RootBatch:
         raise NotImplementedError
 
-    def sample_q_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.q_dist.sample_many(rng, size)
-
     # -- analytic moments -----------------------------------------------------
-    def rho_beta(self, beta: float):
-        """E[sum_i C_i^beta]; float, math.inf, or None when unavailable."""
-        raise NotImplementedError
-
-    def mean_n(self):
-        return self.n_dist.moment(1)
-
-    def q_mean(self):
-        return self.q_dist.mean()
-
     def q_plus_moment(self, beta: float):
         """E[(Q^+)^beta] for the moment bound: closed form when Q >= 0, else quadrature."""
         q_dist = self.q_dist
@@ -118,29 +108,65 @@ class BranchingLaw:
         )
         return value
 
-    def q_abs_moment_finite(self, beta: float) -> bool:
-        return self.q_dist.moment_is_finite(beta)
-
-    def mean_c(self):
-        """E[C_1] for models whose weights are i.i.d. and independent of N."""
+    # -- the law of one weight ------------------------------------------------
+    # A family whose weights are i.i.d. and independent of N gives the law of
+    # one weight C through these two hooks; the weight facts below follow
+    # from them and from n_dist. A family whose weights depend on N
+    # overrides the facts instead.
+    def _c_moment(self, beta: float):
+        """E[C^beta] of one weight; float, math.inf, or None when unavailable."""
         return None
 
-    # -- tail structure -------------------------------------------------------
-    def q_tail_index(self):
-        return self.q_dist.tail_index()
+    def _c_tail_index(self):
+        """Regular-variation index of one weight, or None for a lighter tail."""
+        return None
 
-    def q_tail_scale(self):
-        return self.q_dist.tail_scale()
+    # -- weight facts ---------------------------------------------------------
+    @closed_form
+    def rho_beta(self, beta: float):
+        """E[sum_i C_i^beta] = E[N] E[C^beta]; float, math.inf, or None when unavailable."""
+        e_n = self.n_dist.moment(1)
+        e_cb = self._c_moment(beta)
+        if e_n is None or e_cb is None:
+            return None
+        if e_cb == 0 or e_n == 0:
+            return 0.0
+        if math.isinf(e_n) or math.isinf(e_cb):
+            return math.inf
+        return e_n * e_cb
+
+    def mean_c(self):
+        """E[C_1] for models whose weights are i.i.d. and independent of N, else None."""
+        return self._c_moment(1.0)
 
     def zn_tail_index(self):
-        """Regular-variation index of Z_N = sum_i C_i, or None."""
-        raise NotImplementedError
+        """Regular-variation index of Z_N = sum_i C_i, or None.
 
+        The heavier of N and C sets it; when every weight is 0, Z_N = 0 has none.
+        """
+        if self.mean_c() == 0:
+            return None
+        indices = (self.n_dist.tail_index(), self._c_tail_index())
+        return min((i for i in indices if i is not None), default=None)
+
+    @closed_form
     def zn_tail_scale(self):
-        raise NotImplementedError
+        """c with P(Z_N > x) ~ c x^-index, or None when no closed form applies."""
+        # Only the count-dominant case (heavy N, lighter C) has the clean
+        # weighted-sum constant (E C)^alpha * scale(N).
+        n_idx = self.n_dist.tail_index()
+        c_idx = self._c_tail_index()
+        if n_idx is None or (c_idx is not None and c_idx <= n_idx):
+            return None
+        e_c = self.mean_c()
+        if e_c is None or math.isinf(e_c) or e_c == 0:
+            return None
+        return e_c ** n_idx * self.n_dist.tail_scale()
 
     def zn_moment_finite(self, beta: float) -> bool:
-        raise NotImplementedError
+        """Whether E[Z_N^beta] < infinity: beta lies below Z_N's index, if it has one."""
+        idx = self.zn_tail_index()
+        return idx is None or beta < idx
 
     # -- serialization --------------------------------------------------------
     def to_json(self) -> dict:
@@ -183,40 +209,15 @@ class IndependentIID(BranchingLaw):
         weights = self.c_dist.sample_many(rng, int(n.sum()))
         return RootBatch(q, n, weights)
 
-    def rho_beta(self, beta):
-        e_n = self.n_dist.moment(1)
-        e_cb = self.c_dist.moment(beta)
-        if e_n is None or e_cb is None:
-            return None
-        if e_cb == 0 or e_n == 0:
-            return 0.0
-        if math.isinf(e_n) or math.isinf(e_cb):
-            return math.inf
-        return e_n * e_cb
+    def _c_moment(self, beta):
+        return self.c_dist.moment(beta)
+
+    def _c_tail_index(self):
+        return self.c_dist.tail_index()
 
     def mean_c(self):
+        # the law's own mean, whose bits can differ from moment(1.0)'s
         return self.c_dist.mean()
-
-    def zn_tail_index(self):
-        # the heavier of N and C sets the index of Z_N
-        indices = (self.n_dist.tail_index(), self.c_dist.tail_index())
-        return min((i for i in indices if i is not None), default=None)
-
-    @closed_form
-    def zn_tail_scale(self):
-        # Only the count-dominant case (heavy N, lighter C) has the clean
-        # weighted-sum constant (E C)^alpha * scale(N).
-        n_idx = self.n_dist.tail_index()
-        c_idx = self.c_dist.tail_index()
-        if n_idx is None or (c_idx is not None and c_idx <= n_idx):
-            return None
-        e_c = self.c_dist.mean()
-        if e_c is None or math.isinf(e_c):
-            return None
-        return e_c ** n_idx * self.n_dist.tail_scale()
-
-    def zn_moment_finite(self, beta):
-        return self.n_dist.moment_is_finite(beta) and self.c_dist.moment_is_finite(beta)
 
 
 @dataclass(frozen=True)
@@ -238,34 +239,8 @@ class DeterministicWeight(BranchingLaw):
         weights = np.full(int(n.sum()), float(self.c))
         return RootBatch(q, n, weights)
 
-    @closed_form
-    def rho_beta(self, beta):
-        if self.c == 0:
-            return 0.0
-        e_n = self.n_dist.moment(1)
-        if e_n is None:
-            return None
-        if math.isinf(e_n):
-            return math.inf
-        return self.c ** beta * e_n
-
-    def mean_c(self):
-        return float(self.c)
-
-    def zn_tail_index(self):
-        if self.c == 0:
-            return None
-        return self.n_dist.tail_index()
-
-    @closed_form
-    def zn_tail_scale(self):
-        idx = self.zn_tail_index()
-        if idx is None:
-            return None
-        return self.c ** idx * self.n_dist.tail_scale()
-
-    def zn_moment_finite(self, beta):
-        return self.c == 0 or self.n_dist.moment_is_finite(beta)
+    def _c_moment(self, beta):
+        return self.c ** beta
 
 
 @dataclass(frozen=True)
@@ -294,36 +269,10 @@ class PageRankLike(BranchingLaw):
         degrees = self.out_dist.sample_many(rng, int(n.sum()))
         return RootBatch(q, n, self.d / degrees)
 
-    def rho_beta(self, beta):
-        e_n = self.n_dist.moment(1)
+    def _c_moment(self, beta):
+        # 1/D_i is bounded in (0, 1], so C has no tail index and Z_N inherits N's
         e_d = self.out_dist.moment(-beta)
-        if e_n is None or e_d is None:
-            return None
-        if e_n == 0:
-            return 0.0
-        if math.isinf(e_n) or math.isinf(e_d):
-            return math.inf
-        return self.d ** beta * e_n * e_d
-
-    def mean_c(self):
-        e_inv = self.out_dist.moment(-1.0)
-        if e_inv is None or math.isinf(e_inv):
-            return None
-        return self.d * e_inv
-
-    def zn_tail_index(self):
-        # 1/D_i is bounded in (0, 1], so Z_N inherits N's power tail.
-        return self.n_dist.tail_index()
-
-    def zn_tail_scale(self):
-        idx = self.zn_tail_index()
-        e_c = self.mean_c()
-        if idx is None or e_c is None:
-            return None
-        return e_c ** idx * self.n_dist.tail_scale()
-
-    def zn_moment_finite(self, beta):
-        return self.n_dist.moment_is_finite(beta)
+        return None if e_d is None else self.d ** beta * e_d
 
 
 @dataclass(frozen=True)
@@ -501,7 +450,7 @@ def validate_regime(law: BranchingLaw, alpha: float) -> RegimeReport:
         return RegimeReport(alpha, rho, rho_alpha, INVALID, tuple(violated))
 
     zn_idx = law.zn_tail_index()
-    q_idx = law.q_tail_index()
+    q_idx = law.q_dist.tail_index()
 
     zn_viol: list[str] = []
     if zn_idx is None:
@@ -509,9 +458,9 @@ def validate_regime(law: BranchingLaw, alpha: float) -> RegimeReport:
     elif abs(zn_idx - alpha) > _INDEX_TOL:
         zn_viol.append(f"Z_N tail index {zn_idx:g} != alpha {alpha:g}")
     else:
-        if not law.q_abs_moment_finite(alpha + EPSILON):
+        if not law.q_dist.moment_is_finite(alpha + EPSILON):
             zn_viol.append("E[|Q|^(alpha+epsilon)] infinite")
-        q_mean = law.q_mean()
+        q_mean = law.q_dist.mean()
         if q_mean is None or math.isinf(q_mean) or q_mean <= 0:
             zn_viol.append("E[Q] <= 0 or unavailable")
         rho_eps = law.rho_beta(alpha + EPSILON)

@@ -584,7 +584,7 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
             raise RegimeMismatch("the law's first-generation weight tail has no closed-form scale")
         target = asymptotics.sum_constant_zn(law, alpha, e_x, zn_scale / x_scale)
     else:
-        q_scale = law.q_tail_scale()
+        q_scale = law.q_dist.tail_scale()
         if q_scale is None:
             raise RegimeMismatch("the law's additive-input tail has no closed-form scale")
         target = asymptotics.sum_constant_q(law, alpha, q_scale / x_scale)
@@ -601,6 +601,6 @@ def _run_sum_scenario(config, regime, constants, streams) -> VerificationReport:
 
     tail = _band(config, sketch, x_dist, streams)
 
-    predicted_mean = regime.rho * e_x + law.q_mean()
+    predicted_mean = regime.rho * e_x + law.q_dist.mean()
     check = _mean_check("SUM", 0, predicted_mean, moments.moments())
     return _report(config, regime, constants, sketch, tail, target, [check], {})

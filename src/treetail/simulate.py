@@ -57,7 +57,7 @@ def _check_budget(law: BranchingLaw, depth: int, size: int):
     """Refuse, before any draw, an expected generation past ``NODE_BUDGET`` or trees past physical memory."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    e_n = law.mean_n()
+    e_n = law.n_dist.moment(1)
     if e_n is None:
         raise DomainError("E[N] is not analytically available; cannot project tree size")
     if math.isinf(e_n) or (e_n > 1 and e_n ** depth > NODE_BUDGET):
@@ -156,7 +156,7 @@ def init_pool(
     if size <= 0:
         raise DomainError("pool size must be positive")
 
-    values = _run_blocks(lambda rng, out: np.copyto(out, law.sample_q_many(out.size, rng)),
+    values = _run_blocks(lambda rng, out: np.copyto(out, law.q_dist.sample_many(rng, out.size)),
                          streams, TAG_POOL_INIT, 0, int(size))
     return SamplePool(
         values=values,

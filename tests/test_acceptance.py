@@ -190,7 +190,7 @@ def test_criterion_7_two_inits_contract(zn_report):
 
 def test_criterion_8_theory_self_consistency():
     zn_law = load_config(CONFIG_DIR / "zn-baseline.json").law
-    e_q = zn_law.q_mean()
+    e_q = zn_law.q_dist.mean()
     rho, rho_a = zn_law.rho_beta(1.0), zn_law.rho_beta(2.0)
 
     worst = 0.0

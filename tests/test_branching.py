@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -82,11 +83,11 @@ def test_rho_beta_pagerank_like():
     assert law.rho_beta(1.0) == pytest.approx(expected, rel=1e-12)
     # Q = 1 - d is a constant: every Q-side answer is a closed form
     assert law.q_dist == Constant(0.5)
-    assert law.q_mean() == 0.5
+    assert law.q_dist.mean() == 0.5
     assert law.q_plus_moment(0.7) == pytest.approx(0.5 ** 0.7, rel=1e-15)
-    assert law.q_abs_moment_finite(50.0)
-    assert law.q_tail_index() is None and law.q_tail_scale() is None
-    np.testing.assert_array_equal(law.sample_q_many(4, RNG()), np.full(4, 0.5))
+    assert law.q_dist.moment_is_finite(50.0)
+    assert law.q_dist.tail_index() is None and law.q_dist.tail_scale() is None
+    np.testing.assert_array_equal(law.q_dist.sample_many(RNG(), 4), np.full(4, 0.5))
     q, _, _ = law.draw_roots(4, RNG())
     np.testing.assert_array_equal(q, np.full(4, 0.5))
 
@@ -140,6 +141,95 @@ def test_zn_with_no_children_is_float64():
     samples = sample_zn_many(law, 1, RNG(0))
     assert samples.dtype == np.float64
     assert samples.tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# the weight-moment facts, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+def _shipped_law(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    return law_from_json(json.loads(path.read_text())["law"])
+
+
+PINNED_BETAS = (0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 3.5)
+T, F = True, False
+
+# per law: rho_beta at PINNED_BETAS, mean_c, zn_tail_index, zn_tail_scale,
+# zn_moment_finite at PINNED_BETAS, and the regime at alpha = 2 and 2.5;
+# floats as float.hex, so a change in the last bit shows
+WEIGHT_FACTS = {
+    "q-baseline": (
+        ["0x1.08654a2d4f6dbp+0", "0x1.3333333333333p-1", "0x1.3e4a4cca1eccap-2", "0x1.eb851eb851eb8p-3",
+         "0x1.4656fc784aa1ap-3", "0x1.ba5e353f7ced9p-4", "0x1.3095742c0163bp-4"],
+        "0x1.3333333333333p-2", None, None, [T, T, T, T, T, T, T], [INVALID, Q_DOMINATES]),
+    "sum-appendix": (
+        ["0x1.78a5659ce185dp-1", "0x1.50e1eb50f3976p-2", "0x1.b4c6d405ee29bp-4", "0x1.0d81890d8fac5p-4",
+         "0x1.e21b63582ae8dp-6", "0x1.af35a815b2ad6p-7", "0x1.81af82acef20bp-8"],
+        "0x1.999999999999ap-3", "0x1.0000000000000p+1", "0x1.47ae147ae147cp-5",
+        [T, T, T, F, F, F, F], [ZN_DOMINATES, INVALID]),
+    "zn-baseline": (
+        ["0x1.9f4fcdf53f931p-1", "0x1.999999999999ap-2", "0x1.30755b18841e5p-3", "0x1.8e693e3549633p-4",
+         "0x1.88ee8a8c10266p-5", "0x1.8387216f1c62dp-6", "0x1.7e32bef316960p-7"],
+        "0x1.f2038dc29bbc0p-3", "0x1.0000000000000p+1", "0x1.e468e9cae37b8p-5",
+        [T, T, T, F, F, F, F], [ZN_DOMINATES, INVALID]),
+    "iid-exponential-c": (
+        ["0x1.0826cabffc4a9p+1", "0x1.a5f26f959ddc6p+1", "0x1.091308e8ecd72p+3", "0x1.a6cae7db2ccc6p+3",
+         "0x1.f1456e77207b5p+4", "0x1.3dbadb630b17ep+6", "0x1.b3fbf9fd38f38p+7"],
+        "0x1.008355ace3c89p+1", "0x1.0000000000000p+1", "0x1.0106eeba932e8p+2",
+        [T, T, T, F, F, F, F], [INVALID, INVALID]),
+    "iid-pareto-c": (
+        ["0x1.3f9844b1f8b7ap-1", "0x1.f952e0f96d632p-3", "0x1.363b58c69f6ecp-4", "0x1.94424d9457828p-5",
+         "0x1.ff5a0783278c5p-6", "inf", "inf"],
+        "0x1.3333333333334p-3", "0x1.0000000000000p+1", "0x1.70a3d70a3d70cp-6",
+        [T, T, T, F, F, F, F], [ZN_DOMINATES, INVALID]),
+    # every weight 0: Z_N = 0 is not regularly varying, whatever N's tail
+    "iid-zero-c": (
+        ["0x0.0p+0"] * 7, "0x0.0p+0", None, None, [T, T, T, T, T, T, T], [SUBCRITICAL_LIGHT] * 2),
+    "deterministic-zero-c": (
+        ["0x0.0p+0"] * 7, "0x0.0p+0", None, None, [T, T, T, T, T, T, T], [SUBCRITICAL_LIGHT] * 2),
+    "pagerank-constant-n": (
+        ["0x1.46acfb00d1be9p+0", "0x1.b1a8cce861be8p-1", "0x1.fac814b26d296p-2", "0x1.95bcacc439144p-2",
+         "0x1.19f09b11fdf32p-2", "0x1.8a12961a71c4cp-3", "0x1.14701934fdc5dp-3"],
+        "0x1.b1a8cce861be8p-2", None, None, [T, T, T, T, T, T, T], [SUBCRITICAL_LIGHT] * 2),
+    "pagerank-zeta-n": (
+        ["0x1.2417443723767p+0", "0x1.cdb13f510fd19p-1", "0x1.6eecb72a85f41p-1", "0x1.5301833c1d0e7p-1",
+         "0x1.2d9807d5dd714p-1", "0x1.0fa4e3d5d76e7p-1", "0x1.ed2bf557a7c50p-2"],
+        "0x1.18ace0d8d26e7p-1", "0x1.0000000000000p+1", "0x1.33baa09935288p-2",
+        [T, T, T, F, F, F, F], [ZN_DOMINATES, INVALID]),
+    "inverse-n": (
+        ["0x1.af5fdc1e2fa6ap-1", "0x1.0000000000000p-1", "0x1.1449cf1339b1ep-2", "0x1.b1a8cce861be8p-3",
+         "0x1.268930c8de7bep-3", "0x1.95bcacc439144p-4", "0x1.19f09b11fdf32p-4"],
+        None, None, None, [T, T, T, T, T, T, T], [SUBCRITICAL_LIGHT] * 2),
+}
+
+WEIGHT_FACT_LAWS = {
+    "q-baseline": _shipped_law("q-baseline"),
+    "sum-appendix": _shipped_law("sum-appendix"),
+    "zn-baseline": _shipped_law("zn-baseline"),
+    "iid-exponential-c": IndependentIID(Constant(1.0), ZetaTail(2.0), Exponential(0.499)),
+    "iid-pareto-c": IndependentIID(Constant(1.0), ZetaTail(2.0), Pareto(3.0, 0.1)),
+    "iid-zero-c": IndependentIID(Constant(1.0), ZetaTail(2.0), Constant(0.0)),
+    "deterministic-zero-c": DeterministicWeight(Constant(1.0), ZetaTail(2.0), 0.0),
+    "pagerank-constant-n": PageRankLike(0.5, Constant(2.0), ZetaTail(2.0)),
+    "pagerank-zeta-n": PageRankLike(0.85, ZetaTail(2.0), ZetaTail(1.0)),
+    "inverse-n": InverseN(Uniform(0.0, 2.0), ZetaTail(2.0), 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_FACTS))
+def test_the_weight_moment_facts_keep_their_bits(name):
+    law = WEIGHT_FACT_LAWS[name]
+    pin = lambda value: value.hex() if isinstance(value, float) else value
+    facts = (
+        [pin(law.rho_beta(beta)) for beta in PINNED_BETAS],
+        pin(law.mean_c()),
+        pin(law.zn_tail_index()),
+        pin(law.zn_tail_scale()),
+        [law.zn_moment_finite(beta) for beta in PINNED_BETAS],
+        [validate_regime(law, alpha).regime for alpha in (2.0, 2.5)],
+    )
+    assert facts == WEIGHT_FACTS[name]
 
 
 # ---------------------------------------------------------------------------

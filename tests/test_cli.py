@@ -396,6 +396,26 @@ def test_verify_refuses_critical_law(runner, tmp_path):
     assert "rho_alpha = 1 excluded" in result.stderr
 
 
+def test_verify_refuses_a_zn_scenario_whose_weights_are_all_zero_before_any_draw(runner, tmp_path):
+    # C = 0 makes Z_N = 0 whatever N's tail, so the law has no Z_N tail to dominate
+    law = {
+        "model": "independent_iid",
+        "params": {
+            "q_dist": {"kind": "constant", "params": {"value": 1.0}},
+            "n_dist": {"kind": "zeta_tail", "params": {"alpha": 2.0}},
+            "c_dist": {"kind": "constant", "params": {"value": 0.0}},
+        },
+    }
+    config = write_config(tmp_path / "zero.json", law=law)
+    with mock.patch.object(StreamTree, "child", side_effect=AssertionError("drawn")):
+        result = runner.invoke(cli, ["verify", config, "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "declares dominant=ZN but the law validates as SUBCRITICAL_LIGHT" in result.stderr
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"quantile_grid": ["a"]},
     {"dominant": []},

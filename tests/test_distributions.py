@@ -22,7 +22,8 @@ from treetail import (
     ZetaTail,
     dist_from_json,
 )
-from treetail.asymptotics import h_limit_zn, h_n_zn, jessen_mikosch_zn_constant, sum_constant_zn
+from treetail.asymptotics import (h_limit_zn, h_n_zn, jessen_mikosch_zn_constant, mean_r_partial, mean_w,
+                                  moment_bound_w, sum_constant_zn)
 from treetail.branching import DeterministicWeight, IndependentIID, InverseN
 from treetail.distributions import _KINDS
 from treetail.errors import ConfigError, DomainError
@@ -448,6 +449,8 @@ def test_from_json_rejects_malformed_documents():
 HEAVY_WEIGHT = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 1e200)
 HEAVY_MEAN_WEIGHT = IndependentIID(Constant(1.0), ZetaTail(2.0), Uniform(0.0, 1e300))
 HEAVY_INVERSE_N = InverseN(Constant(1.0), ZetaTail(2.0), 1e200, 0.5)
+# rho = 1e100 zeta(2) is finite, but its tenth power is not
+HEAVY_RHO = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 1e100)
 LIGHT_WEIGHT = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 0.2)
 
 
@@ -475,10 +478,14 @@ LIGHT_WEIGHT = DeterministicWeight(Constant(1.0), ZetaTail(2.0), 0.2)
      r"^sum_constant_zn\(DeterministicWeight\(.*\), 2\.0, e_x=1e\+200, c_ratio=1\.0\)"),
     # its rho_beta overflows first: (E C)^alpha never outgrows E[C^alpha]
     (lambda: jessen_mikosch_zn_constant(HEAVY_WEIGHT, 2.0), r"DeterministicWeight\(.*\)\.rho_beta\("),
+    (lambda: mean_w(HEAVY_RHO, 10), r"^mean_w\(DeterministicWeight\(.*\), 10\)"),
+    (lambda: mean_r_partial(HEAVY_RHO, 10), r"^mean_r_partial\(DeterministicWeight\(.*\), 10\)"),
+    (lambda: moment_bound_w(HEAVY_RHO, 1.0, 10), r"^moment_bound_w\(DeterministicWeight\(.*\), 1\.0, 10\)"),
 ], ids=["constant", "constant-negative", "uniform", "uniform-negative", "exponential-rate",
         "exponential-gamma", "pareto-moment", "pareto-tail-scale", "lognormal", "shifted",
         "deterministic-rho-beta", "deterministic-zn-scale", "iid-zn-scale", "inverse-n-rho-beta",
-        "inverse-n-zn-scale", "h-n-zn", "h-limit-zn", "sum-constant-zn", "jessen-mikosch"])
+        "inverse-n-zn-scale", "h-n-zn", "h-limit-zn", "sum-constant-zn", "jessen-mikosch",
+        "mean-w", "mean-r-partial", "moment-bound-w"])
 def test_a_closed_form_past_the_float_range_is_a_domain_error(closed_form, shown):
     with pytest.raises(DomainError, match="overflows a float") as refused:
         closed_form()

@@ -110,15 +110,15 @@ def test_exact_trees_past_physical_memory_are_refused_before_any_draw(physical_m
 
 
 def test_a_realized_generation_past_physical_memory_is_refused_before_it_is_allocated(physical_memory):
-    # with E[N] patched to 1 the ten trees project 32 bytes times 10 nodes,
-    # but N = 2 makes generation 1 hold 20 nodes, 640 bytes
+    # with Constant.moment, and so E[N], patched to 1 the ten trees project
+    # 32 bytes times 10 nodes, but N = 2 makes generation 1 hold 20 nodes, 640 bytes
     law = IndependentIID(Exponential(1.0), Constant(2.0), Uniform(0.0, 0.4))
-    with mock.patch.object(IndependentIID, "mean_n", return_value=1.0), \
+    with mock.patch.object(Constant, "moment", return_value=1.0), \
             mock.patch.object(np, "repeat", side_effect=AssertionError("repeated")):
         with physical_memory(32 * 20 - 1), pytest.raises(BudgetExceeded, match="physical memory"):
             sample_r_exact(law, 3, np.random.default_rng(0), size=10)
     # the deepest generation, 80 nodes, is the largest each tree reaches
-    with mock.patch.object(IndependentIID, "mean_n", return_value=1.0):
+    with mock.patch.object(Constant, "moment", return_value=1.0):
         with physical_memory(32 * 80 - 1), pytest.raises(BudgetExceeded, match="generation 3 of 10"):
             sample_w_exact(law, 3, np.random.default_rng(0), size=10)
         with physical_memory(32 * 80):
@@ -304,7 +304,7 @@ def test_pools_drawn_in_place_are_the_concatenated_blocks_bit_for_bit(model, siz
 
     start = init_pool(law, size, streams, kind=KIND_W)
     assert_bits(start.values,
-                run_blocks(lambda rng, m: law.sample_q_many(m, rng), streams, TAG_POOL_INIT, 0, size))
+                run_blocks(lambda rng, m: law.q_dist.sample_many(rng, m), streams, TAG_POOL_INIT, 0, size))
     steps = {
         KIND_W: (start, lambda pool: evolve_pool_w(law, pool, streams), TAG_POOL_W),
         KIND_R_PARTIAL: (init_pool(law, size, streams),
