@@ -13,7 +13,6 @@ from .asymptotics import (
     h_limit_zn,
     h_n_q,
     h_n_zn,
-    jessen_mikosch_zn_constant,
     mean_r_partial,
     mean_w,
     moment_bound_w,

@@ -21,15 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .branching import (
-    _INDEX_TOL,
     BranchingLaw,
-    InverseN,
     RegimeReport,
     Q_DOMINATES,
     ZN_DOMINATES,
     validate_regime,
 )
-from .errors import DomainError, ModelMismatch, closed_form
+from .errors import DomainError, closed_form
 
 __all__ = [
     "h_n_zn",
@@ -38,7 +36,6 @@ __all__ = [
     "h_limit_q",
     "sum_constant_zn",
     "sum_constant_q",
-    "jessen_mikosch_zn_constant",
     "moment_bound_w",
     "mean_w",
     "mean_r_partial",
@@ -127,28 +124,6 @@ def sum_constant_q(law: BranchingLaw, alpha: float, c_ratio: float) -> float:
     if c_ratio <= 0:
         raise DomainError("tail-equivalence constant must be positive")
     return _rho_alpha_or_raise(law, alpha) + c_ratio
-
-
-@closed_form
-def jessen_mikosch_zn_constant(law: BranchingLaw, alpha: float) -> float:
-    """(E C_1)^alpha, the constant in P(Z_N > x) ~ (E C_1)^alpha P(N > x).
-
-    Valid for models whose weights are i.i.d. and independent of N with a
-    regularly varying child count of index alpha and E[C^(alpha+eps)] finite.
-    """
-    if isinstance(law, InverseN):
-        raise ModelMismatch("weights depend on N; the i.i.d.-weights constant does not apply")
-    n_idx = law.n_dist.tail_index()
-    if n_idx is None or abs(n_idx - alpha) > _INDEX_TOL:
-        raise DomainError("child count must be regularly varying with index alpha")
-    rho_above = law.rho_beta(alpha + 1e-9)
-    if rho_above is None or math.isinf(rho_above):
-        # E[C^beta] must stay finite a little past alpha for the constant to hold
-        raise DomainError("weights need a finite moment beyond alpha")
-    e_c = law.mean_c()
-    if e_c is None or math.isinf(e_c):
-        raise DomainError("E[C_1] unavailable for this law")
-    return e_c ** alpha
 
 
 @closed_form

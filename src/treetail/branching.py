@@ -58,7 +58,11 @@ EPSILON = 0.5
 
 
 class RootBatch(NamedTuple):
-    """Root vectors for many nodes, weights flattened in node order."""
+    """Root vectors for many nodes, weights flattened in node order.
+
+    Each array may be a read-only view, such as the copies of a constant,
+    so a caller that writes into one must check that it is writable.
+    """
 
     q: np.ndarray
     n: np.ndarray
@@ -236,7 +240,7 @@ class DeterministicWeight(BranchingLaw):
     def draw_roots(self, size, rng):
         q = self.q_dist.sample_many(rng, size)
         n = _draw_counts(self.n_dist, size, rng)
-        weights = np.full(int(n.sum()), float(self.c))
+        weights = np.broadcast_to(float(self.c), int(n.sum()))
         return RootBatch(q, n, weights)
 
     def _c_moment(self, beta):
@@ -264,7 +268,7 @@ class PageRankLike(BranchingLaw):
         return Constant(1 - self.d)
 
     def draw_roots(self, size, rng):
-        q = np.full(size, 1.0 - self.d)
+        q = np.broadcast_to(1.0 - self.d, size)
         n = _draw_counts(self.n_dist, size, rng)
         degrees = self.out_dist.sample_many(rng, int(n.sum()))
         return RootBatch(q, n, self.d / degrees)
@@ -347,9 +351,11 @@ def node_sums(law: BranchingLaw, rng: np.random.Generator, out: np.ndarray,
     """The node step: ``out.size`` draws of  Q + sum_{i<=N} C_i Y_i (no Q unless ``add_q``) into ``out``.
 
     After the roots, ``terms(rng, weights)`` turns the flat child weights into
-    the child terms in place, drawing any Y; ``None`` keeps the weights, as
-    for Z_N. Each temporary is dropped once spent, and IEEE + and * commute,
-    so every value keeps the bits of  bincount(idx, terms(weights)) + q.
+    the child terms, drawing any Y; ``None`` keeps the weights, as for Z_N.
+    The roots may be read-only views, so ``terms`` writes into a buffer of
+    its own, such as that of its Y, and never into the weights. Each
+    temporary is dropped once spent, and IEEE + and * commute, so every
+    value keeps the bits of  bincount(idx, terms(weights)) + q.
     Against that out-of-place form (10 alternating perfbench pairs, 2-vCPU
     box) verify-q's peak RSS fell from 92.8 to 81.8 MB (BENCH_21.json), and
     a 2M-sum sum-appendix run's traced peak from 9.03 to 7.26 MB.
@@ -402,7 +408,7 @@ def rho_beta_mc(law: BranchingLaw, beta: float, draws: int, rng: np.random.Gener
         raise DomainError("rho_beta is defined for beta > 0")
     if draws < 2:
         raise DomainError("need at least 2 draws")
-    sums = node_sums(law, rng, np.empty(draws), lambda rng, w: np.power(w, beta, out=w), add_q=False)
+    sums = node_sums(law, rng, np.empty(draws), lambda rng, w: np.power(w, beta), add_q=False)
     return float(sums.mean()), float(sums.std(ddof=1) / math.sqrt(draws))
 
 

@@ -127,15 +127,17 @@ def simulate(ctx, config_path, out, kind, depth, csv_path):
 @_guard
 def tail(ctx, num_path, den_path, grid, min_exceedances, bootstrap_b, level, prefix):
     """Tail-ratio curve between two saved pools."""
-    num = load_pool(num_path)
-    den = load_pool(den_path)
     try:
         probs = tuple(float(p) for p in grid.split(","))
     except ValueError:
         raise DomainError(f"--grid must be comma-separated numbers, got {grid!r}") from None
+    # each pool is sketched as tail_ratio would sketch it and dropped before
+    # the next is read, so one pool is held at a time
+    den = _sketch(den_path, lambda n: tailstats.den_sketch_bounds(n, probs))
+    num = _sketch(num_path, lambda n: tailstats.num_sketch_bounds(n, den, probs))
     rng = StreamTree(ctx.obj["seed"] or 0).child(TAG_BOOTSTRAP, 0, 0)
     report = tailstats.tail_ratio(
-        num.values, den.values, probs,
+        num, den, probs,
         min_exceedances=min_exceedances, bootstrap_b=bootstrap_b, level=level, rng=rng)
     if prefix is not None:
         Path(f"{prefix}.csv").write_text(report.to_csv_text())
@@ -144,6 +146,23 @@ def tail(ctx, num_path, den_path, grid, min_exceedances, bootstrap_b, level, pre
         click.echo(json.dumps(report.to_json_dict(), indent=2))
     else:
         click.echo(report.to_csv_text(), nl=False)
+
+
+def _sketch(path, bounds) -> tailstats.TailSketch:
+    """The tail sketch of a pool file's n values, with (floor, keep) = ``bounds(n)``."""
+    values = load_pool(path).values
+    return tailstats.TailSketch.of(values, *bounds(values.size))
+
+
+def _sorted_values(path) -> np.ndarray:
+    """A pool file's values, sorted in the array they were read into.
+
+    The pool is dropped here, so its read-only values are this command's to sort.
+    """
+    values = load_pool(path).values
+    values.setflags(write=True)
+    values.sort()
+    return values
 
 
 @cli.command()
@@ -171,11 +190,8 @@ def verify(ctx, config_path, outdir):
 @_guard
 def ks(ctx, pool_a, pool_b):
     """Two-sample Kolmogorov-Smirnov distance between two saved pools."""
-    # each pool is sorted as it is loaded, and the loaded values are freed
-    # before the next pool is read, so at most three pools are held at once
-    a = np.sort(load_pool(pool_a).values)
-    b = np.sort(load_pool(pool_b).values)
-    click.echo(repr(tailstats.ks_distance(a, b)))
+    # each pool is sorted in the array it was read into, so two pools are held
+    click.echo(repr(tailstats.ks_distance(_sorted_values(pool_a), _sorted_values(pool_b))))
 
 
 def main():

@@ -90,7 +90,9 @@ class Distribution:
         """``quantile(rng.random(size))``, computed in the array of uniforms itself.
 
         The result and the generator state afterwards are bit for bit those
-        of ``quantile(rng.random(size))``; no second array is allocated.
+        of ``quantile(rng.random(size))``; no second array is allocated. The
+        result may be a read-only view, so a caller that writes into it
+        must check that it is writable.
         """
         return self._inverse_cdf(rng.random(int(size)))
 
@@ -143,16 +145,18 @@ class Constant(Distribution):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` copies of the value; ``rng`` ends where ``rng.random(size)`` leaves it.
 
-        A PCG64 stream is advanced ``size`` steps and draws nothing. That
-        is exact because each double of ``rng.random`` takes one whole
-        64-bit output and never reads the buffered 32-bit half, which
-        ``advance`` clears and which is put back here. Any other bit
-        generator draws the uniforms.
+        The copies are a read-only view of one value, so no array of
+        ``size`` values is allocated. A PCG64 stream is advanced ``size``
+        steps and draws nothing. That is exact because each double of
+        ``rng.random`` takes one whole 64-bit output and never reads the
+        buffered 32-bit half, which ``advance`` clears and which is put back
+        here. Any other bit generator draws the uniforms and drops them.
         """
+        values = np.broadcast_to(float(self.value), int(size))
         bits = rng.bit_generator
         if type(bits) is not np.random.PCG64:
-            return super().sample_many(rng, size)
-        values = np.full(int(size), float(self.value))
+            rng.random(values.size)
+            return values
         state = bits.state
         bits.advance(values.size)
         if state["has_uint32"]:

@@ -37,6 +37,9 @@ _MAGIC = b"TTPOOL\r\n"
 _VERSION = 1
 _HEADER = struct.Struct("<8sII")
 
+# a pipe's payload is read in slices of this many bytes
+_PIPE_CHUNK = 1 << 20
+
 # Below this size, tail statistics on a pool are statistically meaningless.
 MIN_STATISTICAL_SIZE = 10_000
 
@@ -131,6 +134,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_rest(fh) -> bytearray:
+    """The rest of ``fh``, read into one writable buffer grown in place."""
+    payload = bytearray()
+    while chunk := fh.read(_PIPE_CHUNK):
+        payload += chunk
+    return payload
+
+
 def load_pool(path: str | Path) -> SamplePool:
     """Read a pool file; any malformed header, metadata or payload raises PoolFormatError.
 
@@ -139,7 +150,10 @@ def load_pool(path: str | Path) -> SamplePool:
     physical memory raises ``BudgetExceeded``. The values are then read
     straight into one fresh float64 array: the payload is held once, as
     the pool's read-only ``values``. A pipe's payload is read whole first,
-    since only reading it tells its size, and the values are a view of it.
+    since only reading it tells its size, into one ``bytearray`` grown in
+    place, and the values are a view of it. Either way the values' buffer
+    is writable underneath, so a caller that owns the pool can reclaim
+    write access and sort it in place.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -159,7 +173,7 @@ def load_pool(path: str | Path) -> SamplePool:
         count = meta.get("count")
         info = os.fstat(fh.fileno())
         # a pipe's payload is sized only by reading it
-        payload = None if stat.S_ISREG(info.st_mode) else fh.read()
+        payload = None if stat.S_ISREG(info.st_mode) else _read_rest(fh)
         payload_bytes = info.st_size - fh.tell() if payload is None else len(payload)
         if payload_bytes % 8:
             raise PoolFormatError(f"{path}: value payload is truncated")

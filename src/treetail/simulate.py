@@ -107,8 +107,11 @@ def sample_w_exact(law: BranchingLaw, depth: int, rng: np.random.Generator, size
 
 def sample_weighted_sum(law, x_dist, rng, size: int) -> np.ndarray:
     """``size`` draws of the one-shot sum  sum_{i<=N} C_i X_i + Q  with i.i.d. X."""
-    return node_sums(law, rng, np.empty(int(size)),
-                     lambda rng, w: np.multiply(w, x_dist.sample_many(rng, w.size), out=w))
+    def terms(rng, weights):
+        x = x_dist.sample_many(rng, weights.size)
+        return np.multiply(weights, x, out=x if x.flags.writeable else None)
+
+    return node_sums(law, rng, np.empty(int(size)), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def _evolve(law, pool, streams, kind):
         # pick lies in range, so mode "clip" changes none, and unlike the
         # default "raise" it does not buffer ``out`` in a copy
         parents = prev.take(picks, out=picks.view(np.float64), mode="clip")
-        return np.multiply(weights, parents, out=weights)
+        return np.multiply(weights, parents, out=parents)
 
     values = _run_blocks(lambda rng, out: node_sums(law, rng, out, resampled, add_q=kind != KIND_W),
                          streams, _KIND_TAGS[kind], gen, prev.size)

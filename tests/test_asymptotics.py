@@ -17,16 +17,15 @@ from treetail import (
     h_limit_zn,
     h_n_q,
     h_n_zn,
-    jessen_mikosch_zn_constant,
     mean_r_partial,
     mean_w,
     moment_bound_w,
     sum_constant_q,
     sum_constant_zn,
 )
-from treetail import InverseN, records
+from treetail import records
 from treetail.branching import Q_DOMINATES, ZN_DOMINATES
-from treetail.errors import DomainError, ModelMismatch
+from treetail.errors import DomainError
 
 # the two scenario parameter sets used throughout
 E_Q, RHO, RHO_A, ALPHA = 1.0, 0.4, 0.04 * zeta(2, 1), 2.0
@@ -119,12 +118,9 @@ def test_sum_constants():
 
 
 def test_jessen_mikosch_constant():
+    # P(Z_N > x) ~ (E C)^alpha P(N > x), and ZetaTail(2)'s tail scale is 1
     law = IndependentIID(Exponential(1.0), ZetaTail(2.0), Uniform(0.0, 1.0))
-    assert jessen_mikosch_zn_constant(law, 2.0) == pytest.approx(0.25, rel=1e-14)
-    with pytest.raises(ModelMismatch):
-        jessen_mikosch_zn_constant(InverseN(Uniform(0.0, 2.0), ZetaTail(2.0), 0.5, 1.0), 2.0)
-    with pytest.raises(DomainError):
-        jessen_mikosch_zn_constant(law, 3.0)
+    assert law.zn_tail_scale() == pytest.approx(0.25, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

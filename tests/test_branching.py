@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -90,6 +91,7 @@ def test_rho_beta_pagerank_like():
     np.testing.assert_array_equal(law.q_dist.sample_many(RNG(), 4), np.full(4, 0.5))
     q, _, _ = law.draw_roots(4, RNG())
     np.testing.assert_array_equal(q, np.full(4, 0.5))
+    assert not q.flags.writeable
 
 
 def test_rho_beta_inverse_n():
@@ -131,6 +133,25 @@ def test_zn_of_deterministic_weight_sits_on_a_lattice():
     # the same stream gives the same counts: Z_N is exactly c N
     _, n, _ = law.draw_roots(2_000, RNG())
     np.testing.assert_allclose(samples, 0.2 * n, rtol=1e-12)
+
+
+def test_deterministic_weights_are_a_read_only_view():
+    m, k = 1, 1 << 20
+    law = DeterministicWeight(Constant(1.0), Constant(float(k)), 0.25)
+    rng, rng2 = RNG(), RNG()
+    tracemalloc.start()
+    try:
+        _, _, weights = law.draw_roots(m, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Q and N draws read the generator's state, about 0.6 KiB each; an
+    # array of the m k weights would be 8 MiB
+    assert peak < 2048
+    assert not weights.flags.writeable
+    assert np.array_equal(weights, np.full(m * k, 0.25))
+    rng2.random(2 * m)  # one uniform per node for Q and one for N; the weights draw none
+    assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 def test_zn_with_no_children_is_float64():
